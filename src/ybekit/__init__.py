@@ -16,7 +16,7 @@ from .repmat import (BlockPosition, RepMatrix, TheoremAResult,
                      qybe_check, representing_matrix, tracy_block_source,
                      verify_theorem_a, ybe_check_matrix, ybe_check_scalar)
 from .setsolutions import (CheckReport, CheckResult, Permutation, SetSolution,
-                           apply_r, check_sigma_inverse_identity,
+                           apply_r, axiom_failure, check_sigma_inverse_identity,
                            check_solution, direct_product, index_to_pair,
                            is_braided, is_involutive, is_nondegenerate,
                            is_square_free, is_trivial, isomorphic_set,

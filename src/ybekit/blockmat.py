@@ -10,6 +10,7 @@ partitioned-matrix conventions; storage is row-major internally.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -140,22 +141,6 @@ class Matrix:
                 for j, v in b_nz[k]:
                     out[obase + j] += a * v
         return Matrix(self.rows, bc, out)
-
-
-def multiply(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def scale(lam, a: Matrix) -> Matrix:
-    return _frac(lam) * a
-
-
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -398,6 +383,12 @@ def khatri_rao(a: PartitionedMatrix, b: PartitionedMatrix) -> Matrix:
 
 _PARTITION_RE = re.compile(r"^#\s*partition\s+rows=([0-9][0-9,]*)\s+cols=([0-9][0-9,]*)\s*$")
 
+# Digits allowed in a CSV numerator or denominator.  A product entry
+# multiplies two input entries, so it stays within CPython's 4300-digit cap
+# on int-to-str conversion when written back out.
+CSV_MAX_DIGITS = 2000
+_ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/[0-9]{1,%d})?" % (CSV_MAX_DIGITS, CSV_MAX_DIGITS))
+
 
 def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -> str:
     """Matrix as CSV text, entries as exact fraction strings, optional
@@ -415,8 +406,10 @@ def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -
 def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
     """Parse CSV text as written by format_matrix_csv.
 
-    Returns the matrix and the declared partition, if any; consistency of
-    the two is the caller's concern (see parse_partitioned_csv).
+    Entries must match -?[0-9]+(/[0-9]+)? with at most CSV_MAX_DIGITS digits
+    in the numerator and in the denominator.  Returns the matrix and the
+    declared partition, if any; consistency of the two is the caller's
+    concern (see parse_partitioned_csv).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     partition = None
@@ -438,9 +431,11 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
         for tok in ln.split(","):
             tok = tok.strip()
             try:
+                if not _ENTRY_RE.fullmatch(tok):
+                    raise ValueError("entry outside the CSV grammar")
                 entries.append(Fraction(tok))
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad matrix entry {tok!r}") from exc
+                raise ParseError(f"bad matrix entry {reprlib.repr(tok)}") from exc
         rows.append(entries)
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("rows have unequal lengths")

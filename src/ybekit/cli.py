@@ -20,17 +20,19 @@ from .enumeration import (EnumerationConfig, EnumerationLimitError,
                           enumerate_solutions, iso_classes)
 from .errors import ParseError, ShapeError
 from .repmat import compose_flip, representing_matrix, verify_theorem_a
-from .setsolutions import (check_solution, direct_product, isomorphic_set,
-                           solution_from_json, solution_to_json)
+from .setsolutions import (axiom_failure, check_solution, direct_product,
+                           isomorphic_set, solution_from_json, solution_to_json)
 
 _CHECK_ORDER = ("nondegenerate", "involutive", "braided", "square_free", "trivial")
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_solution(path: str):
@@ -74,12 +76,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_repmat(args) -> int:
     s = _load_solution(args.solution)
-    report = check_solution(s)
-    for name in ("nondegenerate", "involutive", "braided"):
-        result = getattr(report, name)
-        if not result.ok:
-            print(f"solution is not {name}: witness={result.witness}", file=sys.stderr)
-            return 1
+    if (failure := axiom_failure(s)) is not None:
+        name, witness = failure
+        print(f"solution is not {name}: witness={witness}", file=sys.stderr)
+        return 1
     rep = representing_matrix(s, check=False)
     matrix = rep.matrix
     if args.flip:
@@ -99,12 +99,10 @@ def _cmd_verify_theorem_a(args) -> int:
     sy = _load_solution(args.y)
     if not args.skip_checks:
         for path, s in ((args.x, sx), (args.y, sy)):
-            report = check_solution(s)
-            for name in ("nondegenerate", "involutive", "braided"):
-                result = getattr(report, name)
-                if not result.ok:
-                    print(f"{path}: solution is not {name}: witness={result.witness}")
-                    return 1
+            if (failure := axiom_failure(s)) is not None:
+                name, witness = failure
+                print(f"{path}: solution is not {name}: witness={witness}")
+                return 1
     result = verify_theorem_a(sx, sy, check=False)
     print(result.verdict_line())
     return 0 if result.ok else 1
@@ -217,10 +215,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationLimitError as exc:
+    except (ParseError, EnumerationLimitError, OSError) as exc:
+        # reads are turned into ParseError; an OSError here is a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShapeError as exc:

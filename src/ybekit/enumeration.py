@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .setsolutions import (SetSolution, is_braided, is_involutive,
-                           is_nondegenerate, isomorphic_set)
+from .setsolutions import (SetSolution, _braid_witness, axiom_failure,
+                           isomorphic_set)
 
 
 class EnumerationLimitError(RuntimeError):
@@ -58,20 +58,30 @@ def enumerate_solutions(cfg: EnumerationConfig) -> list[SetSolution]:
         raise EnumerationLimitError(
             f"candidate space {candidate_count(cfg.n)} exceeds limit {cfg.limit}")
     n = cfg.n
-    perms = list(itertools.permutations(range(n)))          # lex order
+    rng = range(n)
+    perms = list(itertools.permutations(rng))               # lex order
     inv = {p: _invert0(p) for p in perms}
     found = []
     for assign in itertools.product(perms, repeat=n):
-        gammas = _derived_gammas0(assign, inv, n)
-        if gammas is None:
+        # gamma_y(x) = sigma^{-1}_{sigma_x(y)}(x), 0-based; the candidate is
+        # dropped at its first non-bijective gamma table.  Involutivity needs
+        # no test here: with gamma derived this way both components of the
+        # squared pair map collapse to the identity.
+        gammas = []
+        for y in rng:
+            g = tuple(inv[assign[assign[x][y]]][x] for x in rng)
+            if len(set(g)) != n:
+                break
+            gammas.append(g)
+        if len(gammas) < n or _braid_witness(assign, gammas, n) is not None:
             continue
         sol = SetSolution(
             n,
             tuple(tuple(v + 1 for v in t) for t in assign),
             tuple(tuple(v + 1 for v in t) for t in gammas))
-        # the 0-based prefilter above mirrors these checks; they stay
-        # authoritative for what gets emitted
-        if is_nondegenerate(sol) and is_involutive(sol) and is_braided(sol):
+        # the 0-based prefilter above only prunes; the full axiom checks
+        # stay authoritative for what gets emitted
+        if axiom_failure(sol) is None:
             found.append(sol)
     found.sort(key=lambda s: s.sigma)
     if cfg.dedupe:
@@ -84,36 +94,6 @@ def _invert0(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def _derived_gammas0(assign, inv, n: int):
-    """Derive the gamma tables (0-based) and reject early unless they are
-    bijective and the braid identities hold.
-
-    Involutivity needs no test here: with gamma derived this way both
-    components of the squared pair map collapse to the identity, so every
-    candidate that reaches the authoritative checks passes that one.
-    """
-    rng = range(n)
-    gammas = []
-    for y in rng:
-        g = tuple(inv[assign[assign[x][y]]][x] for x in rng)
-        if len(set(g)) != n:
-            return None
-        gammas.append(g)
-    gam = [[gammas[y][x] for y in rng] for x in rng]  # gam[x][y] = gamma_y(x)
-    for x in rng:
-        for y in rng:
-            u = assign[x][y]
-            w = gam[x][y]
-            for z in rng:
-                if assign[x][assign[y][z]] != assign[u][assign[w][z]]:
-                    return None
-                if gammas[y][gammas[x][z]] != gammas[w][gammas[u][z]]:
-                    return None
-                if gammas[assign[w][z]][u] != assign[gam[x][assign[y][z]]][gammas[z][y]]:
-                    return None
-    return gammas
 
 
 def iso_classes(sols: list[SetSolution]) -> list[list[SetSolution]]:

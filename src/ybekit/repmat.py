@@ -19,9 +19,8 @@ from fractions import Fraction
 from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, identity,
                        inverse, kronecker, permutation_matrix, tracy_singh)
 from .errors import ShapeError
-from .setsolutions import (SetSolution, apply_r, check_solution, direct_product,
-                           index_to_pair, invert_table, is_braided,
-                           is_involutive, is_nondegenerate, pair_to_index)
+from .setsolutions import (SetSolution, apply_r, axiom_failure, direct_product,
+                           index_to_pair, invert_table, pair_to_index)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -73,19 +72,12 @@ class TheoremAResult:
         return f"THEOREM_A FAIL at ({self.witness[0]},{self.witness[1]})"
 
 
-def _require_axioms(s: SetSolution) -> None:
-    for name, result in (("non-degenerate", is_nondegenerate(s)),
-                         ("involutive", is_involutive(s)),
-                         ("braided", is_braided(s))):
-        if not result:
-            raise ValueError(f"solution is not {name}: witness {result.witness}")
-
-
 def representing_matrix(s: SetSolution, check: bool = True) -> RepMatrix:
     """Permutation matrix sending e_i (x) e_j to e_u (x) e_v with
     (u, v) = r(i, j); column (i-1)n + j has its 1 at row (u-1)n + v."""
-    if check:
-        _require_axioms(s)
+    if check and (failure := axiom_failure(s)) is not None:
+        name, witness = failure
+        raise ValueError(f"solution is not {name}: witness={witness}")
     n = s.n
     order = n * n
     cells = [_ZERO] * (order * order)
@@ -243,13 +235,11 @@ def direct_rep_position(sx: SetSolution, sy: SetSolution, i: int, j: int) -> Blo
     n, m = sx.n, sy.n
     if not (1 <= i <= n * m and 1 <= j <= n * m):
         raise IndexError(f"block ({i},{j}) outside 1..{n * m}")
-    ihat, ibar = index_to_pair(i, m)
-    jhat, jbar = index_to_pair(j, m)
-    inner_row = (invert_table(sx.sigma[ihat - 1])[jhat - 1] - 1) * m \
-        + invert_table(sy.sigma[ibar - 1])[jbar - 1]
-    inner_col = (invert_table(sx.sigma[jhat - 1])[ihat - 1] - 1) * m \
-        + invert_table(sy.sigma[jbar - 1])[ibar - 1]
-    return BlockPosition(i, j, inner_row, inner_col)
+    ihat, jhat, ibar, jbar = tracy_block_source(i, j, m)
+    a = block_nonzero_position(sx, ihat, jhat)
+    b = block_nonzero_position(sy, ibar, jbar)
+    return BlockPosition(i, j, pair_to_index(a.inner_row, b.inner_row, m),
+                         pair_to_index(a.inner_col, b.inner_col, m))
 
 
 def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> TheoremAResult:

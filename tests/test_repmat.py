@@ -1,6 +1,7 @@
 """Representing matrices, YBE checkers in both forms, and the product theorem."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
 )
 from ybekit.blockmat import (
     Matrix,
+    PartitionedMatrix,
     commutation_matrix,
     identity,
     inverse,
@@ -103,7 +105,7 @@ def test_representing_matrix_trivial_is_flip():
 
 def test_representing_matrix_rejects_non_solutions():
     cyc = SetSolution(3, ((2, 3, 1),) * 3, ((1, 2, 3),) * 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^solution is not involutive: witness=\(1, 1\)$"):
         representing_matrix(cyc)
     # the bypass keeps the raw column rule available for negative controls
     rep = representing_matrix(cyc, check=False)
@@ -341,6 +343,23 @@ def test_verify_theorem_a_equality_is_structural():
     tampered = SetSolution(2, good.sigma, ((1, 2), (1, 2)))
     res = verify_theorem_a(trivial_solution(2), tampered, check=False)
     assert res.ok and res.witness is None
+
+
+def test_verify_theorem_a_reports_corrupted_product(monkeypatch):
+    # fault injection: the blockwise product gets one wrong entry, at (2, 5)
+    import ybekit.repmat
+
+    def corrupted(a, b):
+        prod = tracy_singh(a, b)
+        cells = prod.matrix.to_rows()
+        cells[1][4] += 1
+        return PartitionedMatrix(Matrix.from_rows(cells), prod.partition)
+
+    monkeypatch.setattr(ybekit.repmat, "tracy_singh", corrupted)
+    res = verify_theorem_a(trivial_solution(2), swap_solution())
+    assert not res.ok
+    assert res.witness == (2, 5, Fraction(0), Fraction(1))
+    assert res.verdict_line() == "THEOREM_A FAIL at (2,5)"
 
 
 def test_theorem_a_fail_verdict_plumbing():

@@ -14,6 +14,7 @@ from ybekit.setsolutions import (
     Permutation,
     SetSolution,
     apply_r,
+    axiom_failure,
     check_sigma_inverse_identity,
     check_solution,
     direct_product,
@@ -147,6 +148,17 @@ def test_checks_agree_on_random_tables():
         for res in [report.nondegenerate, report.involutive, report.braided,
                     report.square_free, report.trivial]:
             assert res.ok == (res.witness is None)
+
+
+def test_axiom_failure_first_in_order():
+    assert axiom_failure(swap_solution()) is None
+    assert axiom_failure(cycle_solution3()) is None
+    assert axiom_failure(NOT_BRAIDED) == ("braided", (1, 1, 2))
+    assert axiom_failure(NOT_INVOLUTIVE) == ("involutive", (1, 3))
+    # degenerate and not involutive: the earlier axiom is the one reported
+    degenerate = SetSolution(2, ((1, 1), (1, 2)), ((1, 2), (1, 2)))
+    assert not is_involutive(degenerate)
+    assert axiom_failure(degenerate) == ("nondegenerate", ("sigma", 1))
 
 
 def test_is_square_free():
