@@ -109,16 +109,24 @@ def _cmd_verify_theorem_a(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    raw_max_n = os.environ.get("YBEKIT_MAX_N", "4")     # no other command reads it
     try:
-        cfg = EnumerationConfig(n=args.n, limit=args.limit, max_n=args.max_n)
+        max_n = int(raw_max_n) if args.max_n is None else args.max_n
+    except ValueError as exc:
+        raise ParseError(f"YBEKIT_MAX_N must be an integer, got {raw_max_n!r}") from exc
+    try:
+        cfg = EnumerationConfig(n=args.n, limit=args.limit, max_n=max_n)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    out_dir = None if args.out_dir is None else Path(args.out_dir)
+    if out_dir is not None and (any(out_dir.glob("solution_*.json"))
+                                or any(out_dir.glob("class_*.json"))):
+        raise ParseError(f"{out_dir} already holds solution_*.json or class_*.json files")
     sols = enumerate_solutions(cfg)
     classes = iso_classes(sols) if (args.dedupe and sols) else None
     emitted = [cls[0] for cls in classes] if classes is not None else sols
     stem = "class" if classes is not None else "solution"
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         width = max(3, len(str(len(emitted))))
         for k, sol in enumerate(emitted, start=1):
@@ -126,7 +134,7 @@ def _cmd_enumerate(args) -> int:
     else:
         for sol in emitted:
             print(solution_to_json(sol))
-    summary = sys.stdout if args.out_dir is not None else sys.stderr
+    summary = sys.stdout if out_dir is not None else sys.stderr
     print(f"{len(sols)} solutions", file=summary)
     if classes is not None:
         print(f"{len(classes)} classes", file=summary)
@@ -187,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the axiom checks on the inputs")
     p.set_defaults(func=_cmd_verify_theorem_a)
 
-    raw_max_n = os.environ.get("YBEKIT_MAX_N", "4")
-    try:
-        default_max_n = int(raw_max_n)
-    except ValueError as exc:
-        raise ParseError(f"YBEKIT_MAX_N must be an integer, got {raw_max_n!r}") from exc
     p = sub.add_parser("enumerate", help="list all solutions on a set of a given size")
     p.add_argument("n", type=int)
     p.add_argument("--dedupe", action="store_true",
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="write one JSON file per solution here")
     p.add_argument("--limit", type=int, default=None,
                    help="refuse to search candidate spaces larger than this")
-    p.add_argument("--max-n", type=int, default=default_max_n,
+    p.add_argument("--max-n", type=int, default=None,
                    help="hard size cap (default 4, or YBEKIT_MAX_N)")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -1,11 +1,12 @@
 """Exhaustive generation of the non-degenerate involutive braided solutions
 on a small set, with optional collapsing up to relabeling.
 
-The generator walks every assignment of a permutation sigma_x to each point
-x, derives gamma_y(x) = sigma^{-1}_{sigma_x(y)}(x) (the only gamma an
-involutive non-degenerate solution can have), and keeps the candidates whose
-assembled tables pass the full axiom checks.  Output order is deterministic:
-lexicographic in the flattened sigma tables.
+A depth-first search assigns sigma_1, sigma_2, ... in lexicographic order.
+It cuts a branch when a cycle-set identity sigma_x sigma_a = sigma_y sigma_b,
+a = sigma_x^{-1}(y), b = sigma_y^{-1}(x) (Rump, Adv. Math. 193, 2005) fails
+and forces a table when the other three are assigned; leaves derive gamma
+and must pass the full axiom checks.  Classes are keyed by the canonical
+form: the least (sigma, gamma) over all n! relabelings.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .setsolutions import (SetSolution, _braid_witness, axiom_failure,
-                           isomorphic_set)
+from .setsolutions import SetSolution, axiom_failure
 
 
 class EnumerationLimitError(RuntimeError):
@@ -43,7 +43,7 @@ class EnumerationConfig:
 
 
 def candidate_count(n: int) -> int:
-    """Size of the sigma-assignment search space."""
+    """Size of the sigma-assignment space the search prunes."""
     return factorial(n) ** n
 
 
@@ -57,63 +57,81 @@ def enumerate_solutions(cfg: EnumerationConfig) -> list[SetSolution]:
     if cfg.limit is not None and candidate_count(cfg.n) > cfg.limit:
         raise EnumerationLimitError(
             f"candidate space {candidate_count(cfg.n)} exceeds limit {cfg.limit}")
-    n = cfg.n
-    rng = range(n)
-    perms = list(itertools.permutations(rng))               # lex order
-    inv = {p: _invert0(p) for p in perms}
-    found = []
-    for assign in itertools.product(perms, repeat=n):
-        # gamma_y(x) = sigma^{-1}_{sigma_x(y)}(x), 0-based; the candidate is
-        # dropped at its first non-bijective gamma table.  Involutivity needs
-        # no test here: with gamma derived this way both components of the
-        # squared pair map collapse to the identity.
-        gammas = []
-        for y in rng:
-            g = tuple(inv[assign[assign[x][y]]][x] for x in rng)
-            if len(set(g)) != n:
-                break
-            gammas.append(g)
-        if len(gammas) < n or _braid_witness(assign, gammas, n) is not None:
-            continue
-        sol = SetSolution(
-            n,
-            tuple(tuple(v + 1 for v in t) for t in assign),
-            tuple(tuple(v + 1 for v in t) for t in gammas))
-        # the 0-based prefilter above only prunes; the full axiom checks
-        # stay authoritative for what gets emitted
+    found: list[SetSolution] = []
+    inverse = {p: _invert0(p) for p in itertools.permutations(range(cfg.n))}  # lex order
+    _extend(cfg.n, [], [], inverse, found)
+    return dedupe_up_to_iso(found) if cfg.dedupe else found
+
+
+def _extend(n, sig, inv, inverse, found) -> None:
+    """Try each 0-based table for sigma_k, k = len(sig).  Module level, so
+    no closure cycle keeps the solutions alive after the search."""
+    k = len(sig)
+    if k == n:
+        sol = SetSolution(n, [[v + 1 for v in t] for t in sig],
+                          [[inv[sig[x][y]][x] + 1 for x in range(n)] for y in range(n)])
         if axiom_failure(sol) is None:
             found.append(sol)
-    found.sort(key=lambda s: s.sigma)
-    if cfg.dedupe:
-        return dedupe_up_to_iso(found)
-    return found
+        return
+    choices = inverse
+    for x, y in itertools.combinations(range(k), 2):
+        a, b = inv[x][y], inv[y][x]
+        if a == k > b:
+            x, y, a, b = y, x, b, a
+        if b == k > a:                    # forced: sigma_b = sigma_y^-1 sigma_x sigma_a
+            choices = (tuple(inv[y][sig[x][v]] for v in sig[a]),)
+            break
+    for x in range(k):          # sigma_k sigma_b = sigma_x sigma_a, b = sigma_k^-1(x):
+        a = inv[x][k]           # b < k fixes sigma_k = sigma_x sigma_a sigma_b^-1
+        if a < k:
+            left = [sig[x][v] for v in sig[a]]
+            allowed = {tuple(left[v] for v in inv[b]) for b in range(k)}
+            choices = [p for p in choices if p in allowed or inverse[p][x] >= k]
+    for p in choices:
+        sig.append(p)
+        inv.append(inverse[p])
+        for x, y in itertools.combinations(range(k + 1), 2):
+            a, b = inv[x][y], inv[y][x]
+            if max(y, a, b) == k and any(sig[x][v] != sig[y][w]
+                                         for v, w in zip(sig[a], sig[b])):
+                break                     # an identity sigma_k made checkable fails
+        else:
+            _extend(n, sig, inv, inverse, found)
+        sig.pop()
+        inv.pop()
 
 
 def _invert0(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def iso_classes(sols: list[SetSolution]) -> list[list[SetSolution]]:
-    """Partition into isomorphism classes by brute-force relabeling search;
-    classes are ordered by their lexicographically least member."""
+    """Partition into isomorphism classes by canonical form; classes are
+    ordered by their lexicographically least member, which comes first."""
     if any(s.n != sols[0].n for s in sols):
         raise ValueError("all solutions must live on sets of the same size")
-    classes: list[list[SetSolution]] = []
+    classes: dict[tuple, list[SetSolution]] = {}
+    relabelings = [((0,) + tuple(v + 1 for v in p), _invert0(p))
+                   for p in itertools.permutations(range(sols[0].n if sols else 0))]
     for sol in sorted(sols, key=lambda s: (s.sigma, s.gamma)):
-        for cls in classes:
-            if isomorphic_set(cls[0], sol) is not None:
-                cls.append(sol)
-                break
-        else:
-            classes.append([sol])
-    return classes
+        classes.setdefault(_canonical(sol, relabelings), []).append(sol)
+    return list(classes.values())
+
+
+def _canonical(s: SetSolution, relabelings) -> tuple:
+    """Least (sigma, gamma) over the relabelings of s; gamma is relabeled
+    only where sigma reaches its least form."""
+    sigmas = [_relabel(s.sigma, mu, inv) for mu, inv in relabelings]
+    least = min(sigmas)
+    return least, min(_relabel(s.gamma, mu, inv)
+                      for sig, (mu, inv) in zip(sigmas, relabelings) if sig == least)
+
+
+def _relabel(tables, mu, inv) -> tuple:
+    """t'[mu x][mu y] = mu t[x][y]; mu maps 1-based values, inv is 0-based."""
+    return tuple(tuple(map(mu.__getitem__, map(tables[i].__getitem__, inv))) for i in inv)
 
 
 def dedupe_up_to_iso(sols: list[SetSolution]) -> list[SetSolution]:
     """Lexicographically least representative of each isomorphism class."""
-    if not sols:
-        return []
     return [cls[0] for cls in iso_classes(sols)]

@@ -310,25 +310,44 @@ def direct_product(sx: SetSolution, sy: SetSolution) -> SetSolution:
 
 
 def isomorphic_set(sa: SetSolution, sb: SetSolution) -> Permutation | None:
-    """Search all relabelings mu for one with r_b(mu x, mu y) = mu r_a(x, y);
-    returns the first such mu in lexicographic order, or None."""
+    """The first relabeling mu in lexicographic order with
+    r_b(mu x, mu y) = mu r_a(x, y) for all x, y, or None.  mu(x) ranges only
+    over points with x's signature (whether r fixes (x, x), and the orbit
+    sizes under sigma_x and gamma_x), and a branch is cut at the first pair
+    whose images are all assigned and disagree."""
     if sa.n != sb.n:
         raise ValueError("solutions on sets of different sizes")
-    n = sa.n
-    rng = range(1, n + 1)
-    for image in itertools.permutations(rng):
-        ok = True
-        for x in rng:
-            for y in rng:
-                u, v = apply_r(sa, x, y)
-                if apply_r(sb, image[x - 1], image[y - 1]) != (image[u - 1], image[v - 1]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Permutation(image)
-    return None
+    rng = range(1, sa.n + 1)
+    sig_a, sig_b = ([(apply_r(s, x, x) == (x, x), _orbit_sizes(s.sigma[x - 1]),
+                      _orbit_sizes(s.gamma[x - 1])) for x in rng] for s in (sa, sb))
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    options = [[v for v in rng if sig_b[v - 1] == sig] for sig in sig_a]
+    # (x, y) with r_a(x, y) = (u, v), by the last point among the four
+    quads = [(x, y, *apply_r(sa, x, y)) for x, y in itertools.product(rng, repeat=2)]
+    checks = [[q for q in quads if max(q) == x] for x in range(sa.n + 1)]
+    return next(_relabelings(sb, options, checks, [0] * (sa.n + 1), 1), None)
+
+
+def _relabelings(sb, options, checks, image, x):
+    """In lexicographic order, each mu extending image[1..x-1] (image[0] pads)."""
+    if x == len(image):
+        yield Permutation(image[1:])
+        return
+    for v in sorted(set(options[x - 1]).difference(image)):
+        image[x] = v
+        if all(apply_r(sb, image[p], image[q]) == (image[u], image[w])
+               for p, q, u, w in checks[x]):
+            yield from _relabelings(sb, options, checks, image, x + 1)
+    image[x] = 0
+
+
+def _orbit_sizes(table) -> tuple[int, ...]:
+    """Sorted sizes of the forward orbits {v, t(v), t(t(v)), ...}, a
+    relabeling invariant of any map (for a permutation, its cycle type)."""
+    return tuple(sorted(
+        len(set(itertools.accumulate(table, lambda v, _: table[v - 1], initial=v)))
+        for v in range(1, len(table) + 1)))
 
 
 def solution_to_json(s: SetSolution) -> str:

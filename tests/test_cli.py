@@ -285,6 +285,30 @@ def test_enumerate_env_cap_malformed(tmp_path, capsys, monkeypatch):
     assert "YBEKIT_MAX_N" in err
 
 
+def test_env_cap_read_only_by_enumerate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("YBEKIT_MAX_N", "four")
+    code, out, err = run(capsys, ["check", put(tmp_path, "s.json", TRIVIAL_JSON)])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, ["enumerate", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: YBEKIT_MAX_N must be an integer, got 'four'\n"
+
+
+def test_enumerate_refuses_out_dir_holding_output(tmp_path, capsys):
+    out_dir = tmp_path / "sols"
+    assert run(capsys, ["enumerate", "3", "--out-dir", str(out_dir)])[0] == 0
+    before = {p.name: p.read_text() for p in out_dir.iterdir()}
+    assert len(before) == 12
+    for argv in (["enumerate", "2"], ["enumerate", "2", "--dedupe"]):
+        code, out, err = run(capsys, argv + ["--out-dir", str(out_dir)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert {p.name: p.read_text() for p in out_dir.iterdir()} == before
+    classes = tmp_path / "classes"
+    assert run(capsys, ["enumerate", "2", "--dedupe", "--out-dir", str(classes)])[0] == 0
+    assert run(capsys, ["enumerate", "2", "--out-dir", str(classes)])[0] == 2
+
+
 def test_enumerate_candidate_limit(tmp_path, capsys):
     code, _, _ = run(capsys, ["enumerate", "2", "--limit", "3"])
     assert code == 2

@@ -1,5 +1,7 @@
 """Exhaustive search: counts pinned by a second route, dedupe, resource caps."""
 
+import gc
+
 import pytest
 
 from conftest import bijection_level_oracle, cycle_solution3, trivial_solution
@@ -69,6 +71,34 @@ def test_dedupe_counts(sols2, sols3, sols4):
     assert len(dedupe_up_to_iso(sols2)) == 2
     assert len(dedupe_up_to_iso(sols3)) == 5
     assert len(dedupe_up_to_iso(sols4)) == 23
+
+
+def test_published_class_counts():
+    # Etingof, Schedler & Soloviev, Duke Math. J. 100 (1999): 1, 2, 5, 23, 88, ...
+    counts = [len(enumerate_solutions(EnumerationConfig(n, dedupe=True)))
+              for n in range(1, 5)]
+    assert counts == [1, 2, 5, 23]
+
+
+def test_iso_classes_structure_n4(sols4):
+    classes = iso_classes(sols4)
+    assert len(classes) == 23
+    assert sum(len(c) for c in classes) == 168
+    for cls in classes:
+        assert cls[0] == min(cls, key=lambda s: (s.sigma, s.gamma))
+        for member in cls:
+            assert isomorphic_set(cls[0], member) is not None
+    reps = [cls[0] for cls in classes]
+    for i, a in enumerate(reps):
+        for b in reps[i + 1:]:
+            assert isomorphic_set(a, b) is None
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a cycle would keep every solution alive until the next collection
+    gc.collect()
+    enumerate_solutions(EnumerationConfig(4, dedupe=True))
+    assert gc.collect() == 0
 
 
 def test_iso_class_sizes_frozen(sols3):

@@ -1,7 +1,9 @@
 """Set solutions: axiom checks, direct products, isomorphism, JSON round-trips."""
 
+import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +382,63 @@ def test_isomorphic_set_relabeled_copy():
         for y in range(1, 4):
             u, v = apply_r(s, x, y)
             assert apply_r(t, found(x), found(y)) == (found(u), found(v))
+
+
+def brute_force_isomorphism(sa, sb):
+    """Reference route: the first relabeling in lexicographic order that
+    carries r_a to r_b, found by walking all n! of them."""
+    rng = range(1, sa.n + 1)
+    for image in itertools.permutations(rng):
+        if all(apply_r(sb, image[x - 1], image[y - 1])
+               == tuple(image[v - 1] for v in apply_r(sa, x, y))
+               for x in rng for y in rng):
+            return Permutation(image)
+    return None
+
+
+def relabeled(s, image):
+    """s carried along the relabeling with 1-based images `image`."""
+    n = s.n
+    mu = Permutation(image)
+    inv = mu.inverse()
+    tables = lambda t: tuple(tuple(mu(t[inv(x) - 1][inv(y) - 1]) for y in range(1, n + 1))
+                             for x in range(1, n + 1))
+    return SetSolution(n, tables(s.sigma), tables(s.gamma))
+
+
+def test_isomorphic_set_matches_brute_force_on_solutions(sols2, sols3, sols4):
+    pairs = list(itertools.product(sols2 + sols3, repeat=2))
+    pairs = [(a, b) for a, b in pairs if a.n == b.n]
+    pairs += list(itertools.product(sols4[::5], sols4[::3]))
+    found = 0
+    for a, b in pairs:
+        mu = isomorphic_set(a, b)
+        assert mu == brute_force_isomorphism(a, b)
+        found += mu is not None
+    assert 0 < found < len(pairs)
+
+
+def test_isomorphic_set_matches_brute_force_on_arbitrary_tables():
+    # tables that need not be bijections: the point signatures must still
+    # be relabeling invariants
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        table = lambda: tuple(tuple(rng.randint(1, n) for _ in range(n)) for _ in range(n))
+        a = SetSolution(n, table(), table())
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        b = relabeled(a, image) if rng.random() < 0.7 else SetSolution(n, table(), table())
+        assert isomorphic_set(a, b) == brute_force_isomorphism(a, b)
+
+
+def test_isomorphic_set_rejects_large_non_isomorphic_pair_fast():
+    n = 14
+    swap = (2, 1) + tuple(range(3, n + 1))
+    constant_transposition = SetSolution(n, (swap,) * n, (swap,) * n)
+    start = time.perf_counter()
+    assert isomorphic_set(trivial_solution(n), constant_transposition) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_isomorphic_set_size_mismatch():
