@@ -4,15 +4,21 @@ with commutation matrices.
 
 Every scalar is a `fractions.Fraction`, so all arithmetic is exact.  Entry
 and block indices on the public surface are 1-based, matching the usual
-partitioned-matrix conventions; storage is row-major internally.
+partitioned-matrix conventions.  Storage is sparse: one dict per row maps
+0-based columns to the nonzero entries.  The public constructor validates
+every cell; kernel outputs are built by `_matrix`, which trusts its rows.
+`@` sums integer numerators over one common denominator per output row.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError, SingularMatrixError
@@ -32,25 +38,35 @@ def _frac(value) -> Fraction:
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
 
 
+def _matrix(rows: int, cols: int, nz: Iterable[dict]) -> "Matrix":
+    """Kernel outputs, unchecked: one dict a row, 0-based column -> nonzero Fraction."""
+    if rows < 1 or cols < 1:
+        raise ShapeError("matrix dimensions must be positive")
+    m = object.__new__(Matrix)
+    m.rows, m.cols, m._nz = rows, cols, tuple(nz)
+    return m
+
+
 class Matrix:
-    """Immutable dense matrix of exact rationals.
+    """Immutable sparse matrix of exact rationals.
 
     `entry(i, j)` is 1-based.  `+`, `-`, `@` and scalar `*` are supported
     and raise ShapeError on mismatched operands.  Instances must be treated
     as immutable values; they hash and compare structurally.
     """
 
-    __slots__ = ("rows", "cols", "_cells")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, cells: Iterable) -> None:
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        data = tuple(_frac(x) for x in cells)
+        data = [_frac(x) for x in cells]
         if len(data) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self._cells = data
+        self._nz = tuple({j: v for j, v in enumerate(data[o:o + cols]) if v}
+                         for o in range(0, len(data), cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -65,56 +81,59 @@ class Matrix:
         """1-based entry access."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
-        return self._cells[(i - 1) * self.cols + (j - 1)]
+        return self._nz[i - 1].get(j - 1, _ZERO)
 
     def to_rows(self) -> list[list[Fraction]]:
-        c = self.cols
-        return [list(self._cells[r * c:(r + 1) * c]) for r in range(self.rows)]
+        return [list(self.row_cells(r)) for r in range(self.rows)]
 
     def row_cells(self, r0: int) -> tuple[Fraction, ...]:
-        """0-based internal row slice."""
-        c = self.cols
-        return self._cells[r0 * c:(r0 + 1) * c]
+        """0-based row, zeros included."""
+        row = [_ZERO] * self.cols
+        for j, v in self._nz[r0].items():
+            row[j] = v
+        return tuple(row)
 
     def transpose(self) -> "Matrix":
-        cells = [self._cells[r * self.cols + c]
-                 for c in range(self.cols) for r in range(self.rows)]
-        return Matrix(self.cols, self.rows, cells)
+        out = [{} for _ in range(self.cols)]
+        for r, d in enumerate(self._nz):
+            for c, v in d.items():
+                out[c][r] = v
+        return _matrix(self.cols, self.rows, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self._cells) == (other.rows, other.cols, other._cells)
+        return (self.rows, self.cols, self._nz) == (other.rows, other.cols, other._nz)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._cells))
+        return hash((self.rows, self.cols, tuple(frozenset(d.items()) for d in self._nz)))
 
     def __repr__(self) -> str:
         rows = "; ".join(",".join(str(x) for x in row) for row in self.to_rows())
         return f"Matrix({self.rows}x{self.cols}: {rows})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix addition needs equal dimensions")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._cells, other._cells)])
+        return self._combine(other, operator.add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, operator.sub, "subtraction")
+
+    def _combine(self, other: "Matrix", op, what: str) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("matrix subtraction needs equal dimensions")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self._cells, other._cells)])
+            raise ShapeError(f"matrix {what} needs equal dimensions")
+        return _matrix(self.rows, self.cols, (
+            {j: w for j in da.keys() | db.keys() if (w := op(da.get(j, 0), db.get(j, 0)))}
+            for da, db in zip(self._nz, other._nz)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._cells])
+        return -1 * self
 
     def __rmul__(self, lam) -> "Matrix":
         lam = _frac(lam)
-        return Matrix(self.rows, self.cols, [lam * a for a in self._cells])
+        return _matrix(self.rows, self.cols,
+                       ({j: lam * v for j, v in d.items()} if lam else {} for d in self._nz))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -122,36 +141,32 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # skip zero terms: permutation and other sparse factors are the
-        # common case here and the skip makes those products near-linear
-        b_nz = []
-        bc = other.cols
-        for k in range(other.rows):
-            row = other._cells[k * bc:(k + 1) * bc]
-            b_nz.append([(j, v) for j, v in enumerate(row) if v])
-        out = [_ZERO] * (self.rows * bc)
-        ac = self.cols
-        for r in range(self.rows):
-            base = r * ac
-            obase = r * bc
-            for k in range(ac):
-                a = self._cells[base + k]
-                if not a:
-                    continue
-                for j, v in b_nz[k]:
-                    out[obase + j] += a * v
-        return Matrix(self.rows, bc, out)
+        # each row of other as integer numerators over the lcm of its
+        # denominators; each output row then sums ints over one denominator
+        b_rows = []
+        for d in other._nz:
+            den = lcm(*(v.denominator for v in d.values()))
+            b_rows.append((den, [(j, v.numerator * (den // v.denominator))
+                                 for j, v in d.items()]))
+        out = []
+        for d in self._nz:
+            terms = [(a, b_rows[k]) for k, a in d.items() if b_rows[k][1]]
+            den = lcm(*(a.denominator * bden for a, (bden, _) in terms))
+            acc: dict[int, int] = {}
+            for a, (bden, nums) in terms:
+                f = a.numerator * (den // (a.denominator * bden))
+                for j, n in nums:
+                    acc[j] = acc.get(j, 0) + f * n
+            out.append({j: Fraction(n, den) for j, n in acc.items() if n})
+        return _matrix(self.rows, other.cols, out)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, [_ZERO] * (rows * cols))
+    return _matrix(rows, cols, ({} for _ in range(rows)))
 
 
 def identity(n: int) -> Matrix:
-    cells = [_ZERO] * (n * n)
-    for i in range(n):
-        cells[i * n + i] = _ONE
-    return Matrix(n, n, cells)
+    return _matrix(n, n, ({i: _ONE} for i in range(n)))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -163,54 +178,34 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
     n = a.rows
-    work = a.to_rows()
-    inv = identity(n).to_rows()
+    # rows of the augmented matrix [a | I]
+    work = [r + e for r, e in zip(a.to_rows(), identity(n).to_rows())]
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
+        work[col], work[piv] = work[piv], work[col]
         p = work[col][col]
         if p != 1:
             work[col] = [x / p for x in work[col]]
-            inv[col] = [x / p for x in inv[col]]
         for r in range(n):
-            if r == col:
-                continue
             f = work[r][col]
-            if not f:
-                continue
-            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Matrix.from_rows(inv)
+            if r != col and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return Matrix.from_rows([r[n:] for r in work])
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: the (i, j) block of the result is a[i,j] * b."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    cells = [_ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            s = a._cells[i * a.cols + j]
-            if not s:
-                continue
-            for k in range(b.rows):
-                dst = (i * b.rows + k) * cols + j * b.cols
-                src = k * b.cols
-                for l in range(b.cols):
-                    v = b._cells[src + l]
-                    if v:
-                        cells[dst + l] = s * v
-    return Matrix(rows, cols, cells)
+    return _strip_product(PartitionedMatrix.single(a), PartitionedMatrix.single(b)).matrix
 
 
 def hadamard(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise product; both operands must have the same dimensions."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ShapeError("entrywise product needs equal dimensions")
-    return Matrix(a.rows, a.cols, [x * y for x, y in zip(a._cells, b._cells)])
+    return _matrix(a.rows, a.cols, ({j: x * y for j, x in da.items() if (y := db.get(j))}
+                                    for da, db in zip(a._nz, b._nz)))
 
 
 def commutation_matrix(m: int, n: int) -> Matrix:
@@ -219,11 +214,8 @@ def commutation_matrix(m: int, n: int) -> Matrix:
     (i-1)n + j."""
     if m < 1 or n < 1:
         raise ShapeError("commutation matrix orders must be positive")
-    cells = [_ZERO] * (m * n * m * n)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cells[((i - 1) * n + j - 1) * (m * n) + (j - 1) * m + i - 1] = _ONE
-    return Matrix(m * n, m * n, cells)
+    return _matrix(m * n, m * n, ({(j - 1) * m + i - 1: _ONE}
+                                  for i in range(1, m + 1) for j in range(1, n + 1)))
 
 
 def permutation_matrix(image: Sequence[int]) -> Matrix:
@@ -231,24 +223,16 @@ def permutation_matrix(image: Sequence[int]) -> Matrix:
     n = len(image)
     if sorted(image) != list(range(1, n + 1)):
         raise ValueError("image is not a bijection of 1..n")
-    cells = [_ZERO] * (n * n)
+    rows = [{} for _ in range(n)]
     for i, v in enumerate(image):
-        cells[(v - 1) * n + i] = _ONE
-    return Matrix(n, n, cells)
+        rows[v - 1][i] = _ONE
+    return _matrix(n, n, rows)
 
 
 def is_permutation_matrix(a: Matrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    n = a.rows
-    for r in range(n):
-        row = a.row_cells(r)
-        if sum(1 for v in row if v == 1) != 1 or any(v not in (0, 1) for v in row):
-            return False
-    for c in range(n):
-        if sum(1 for r in range(n) if a._cells[r * n + c]) != 1:
-            return False
-    return True
+    # square, one nonzero per row equal to 1, and no column hit twice
+    return (a.rows == a.cols and all(len(d) == 1 and _ONE in d.values() for d in a._nz)
+            and len({c for d in a._nz for c in d}) == a.rows)
 
 
 @dataclass(frozen=True)
@@ -310,11 +294,8 @@ class PartitionedMatrix:
             raise IndexError(f"block ({i},{j}) outside a {len(rs)}x{len(cs)} grid")
         r0, c0 = sum(rs[:i - 1]), sum(cs[:j - 1])
         h, w = rs[i - 1], cs[j - 1]
-        cells = []
-        for r in range(r0, r0 + h):
-            cells.extend(self.matrix._cells[r * self.matrix.cols + c0:
-                                            r * self.matrix.cols + c0 + w])
-        return Matrix(h, w, cells)
+        return _matrix(h, w, ({c - c0: v for c, v in d.items() if c0 <= c < c0 + w}
+                              for d in self.matrix._nz[r0:r0 + h]))
 
     def block_grid(self) -> list[list[Matrix]]:
         return [[self.block(i, j) for j in range(1, self.n_block_cols + 1)]
@@ -341,12 +322,42 @@ def assemble_blocks(grid: Sequence[Sequence[Matrix]]) -> Matrix:
             raise ShapeError("blocks in one grid row have unequal heights")
         if any(blk.cols != w for blk, w in zip(row, widths)):
             raise ShapeError("blocks in one grid column have unequal widths")
-    cells = []
-    for bi, row in enumerate(grid):
-        for r in range(heights[bi]):
-            for blk in row:
-                cells.extend(blk.row_cells(r))
-    return Matrix(sum(heights), sum(widths), cells)
+    offsets = list(accumulate(widths[:-1], initial=0))
+    return _matrix(sum(heights), sum(widths),
+                   ({o + c: v for blk, o in zip(row, offsets) for c, v in blk._nz[r].items()}
+                    for row in grid for r in range(row[0].rows)))
+
+
+def _strip_map(sa: Sequence[int], sb: Sequence[int], diagonal: bool):
+    """Product position of each (A index, B index) pair along one axis, and
+    the product's strip sizes.  Strip pairs (i, k) run with i outermost, and
+    so do the index pairs inside each (Tracy & Singh, 1972).  With
+    `diagonal` only the pairs i == k are kept; the others map to None."""
+    a_at = [(i, u) for i, p in enumerate(sa) for u in range(p)]
+    b_at = [(k, v) for k, q in enumerate(sb) for v in range(q)]
+    pairs = [(i, k) for i in range(len(sa)) for k in range(len(sb))
+             if not diagonal or i == k]
+    sizes = [sa[i] * sb[k] for i, k in pairs]
+    start = dict(zip(pairs, accumulate(sizes, initial=0)))
+    pos = [[start[i, k] + u * sb[k] + v if (i, k) in start else None for k, v in b_at]
+           for i, u in a_at]
+    return pos, sizes
+
+
+def _strip_product(a: PartitionedMatrix, b: PartitionedMatrix,
+                   diagonal: bool = False) -> PartitionedMatrix:
+    """Kronecker, Tracy-Singh and Khatri-Rao over the nonzeros: each product
+    of two nonzeros lands where the strip maps send its row and column pairs."""
+    rpos, rsizes = _strip_map(a.partition.row_sizes, b.partition.row_sizes, diagonal)
+    cpos, csizes = _strip_map(a.partition.col_sizes, b.partition.col_sizes, diagonal)
+    out = [{} for _ in range(sum(rsizes))]
+    for da, rp in zip(a.matrix._nz, rpos):
+        for db, row in zip(b.matrix._nz, rp):
+            if row is not None:
+                out[row].update({cpos[c][t]: x * y for c, x in da.items()
+                                 for t, y in db.items() if cpos[c][t] is not None})
+    return PartitionedMatrix(_matrix(len(out), sum(csizes), out),
+                             BlockPartition(tuple(rsizes), tuple(csizes)))
 
 
 def tracy_singh(a: PartitionedMatrix, b: PartitionedMatrix) -> PartitionedMatrix:
@@ -357,28 +368,18 @@ def tracy_singh(a: PartitionedMatrix, b: PartitionedMatrix) -> PartitionedMatrix
     and block columns likewise.  With both inputs trivially partitioned this
     reduces to the plain Kronecker product.
     """
-    ag, bg = a.block_grid(), b.block_grid()
-    grid = []
-    for arow in ag:
-        for brow in bg:
-            grid.append([kronecker(ab, bb) for ab in arow for bb in brow])
-    part = BlockPartition(
-        tuple(ra * rb for ra in a.partition.row_sizes for rb in b.partition.row_sizes),
-        tuple(ca * cb for ca in a.partition.col_sizes for cb in b.partition.col_sizes))
-    return PartitionedMatrix(assemble_blocks(grid), part)
+    return _strip_product(a, b)
 
 
 def khatri_rao(a: PartitionedMatrix, b: PartitionedMatrix) -> Matrix:
-    """Blockwise diagonal Kronecker product: block (i, j) is A_ij (x) B_ij.
+    """Blockwise diagonal Kronecker product: block (i, j) is A_ij (x) B_ij,
+    the diagonal strip pairs of the Tracy-Singh product.
 
     Both inputs must be cut into block grids of the same shape.
     """
     if (a.n_block_rows, a.n_block_cols) != (b.n_block_rows, b.n_block_cols):
         raise ShapeError("block grids must have the same shape")
-    ag, bg = a.block_grid(), b.block_grid()
-    grid = [[kronecker(ab, bb) for ab, bb in zip(arow, brow)]
-            for arow, brow in zip(ag, bg)]
-    return assemble_blocks(grid)
+    return _strip_product(a, b, diagonal=True).matrix
 
 
 _PARTITION_RE = re.compile(r"^#\s*partition\s+rows=([0-9][0-9,]*)\s+cols=([0-9][0-9,]*)\s*$")
@@ -387,6 +388,8 @@ _PARTITION_RE = re.compile(r"^#\s*partition\s+rows=([0-9][0-9,]*)\s+cols=([0-9][
 # multiplies two input entries, so it stays within CPython's 4300-digit cap
 # on int-to-str conversion when written back out.
 CSV_MAX_DIGITS = 2000
+# Cells the CLI will compute and write for one output matrix.
+MAX_OUTPUT_CELLS = 10**7
 _ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/[0-9]{1,%d})?" % (CSV_MAX_DIGITS, CSV_MAX_DIGITS))
 
 

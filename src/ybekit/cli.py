@@ -9,11 +9,12 @@ partition mismatch.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
 
-from .blockmat import (PartitionedMatrix, format_matrix_csv, hadamard,
+from .blockmat import (MAX_OUTPUT_CELLS, format_matrix_csv, hadamard,
                        khatri_rao, kronecker, parse_partitioned_csv,
                        tracy_singh)
 from .enumeration import (EnumerationConfig, EnumerationLimitError,
@@ -46,9 +47,19 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _require_output_cells(rows: int, cols: int) -> None:
+    if rows * cols > MAX_OUTPUT_CELLS:
+        raise ParseError(f"output of {rows}x{cols} is over the {MAX_OUTPUT_CELLS}-entry cap")
+
+
 def _cmd_product(args) -> int:
     a = parse_partitioned_csv(_read_text(args.a))
     b = parse_partitioned_csv(_read_text(args.b))
+    if args.op != "hadamard":       # the other three multiply strip sizes pairwise
+        pairs = zip if args.op == "khatri-rao" else itertools.product
+        _require_output_cells(*(sum(p * q for p, q in pairs(sa, sb)) for sa, sb in (
+            (a.partition.row_sizes, b.partition.row_sizes),
+            (a.partition.col_sizes, b.partition.col_sizes))))
     if args.op == "kronecker":
         text = format_matrix_csv(kronecker(a.matrix, b.matrix))
     elif args.op == "hadamard":
@@ -76,6 +87,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_repmat(args) -> int:
     s = _load_solution(args.solution)
+    _require_output_cells(s.n ** 2, s.n ** 2)
     if (failure := axiom_failure(s)) is not None:
         name, witness = failure
         print(f"solution is not {name}: witness={witness}", file=sys.stderr)
@@ -103,7 +115,10 @@ def _cmd_verify_theorem_a(args) -> int:
                 name, witness = failure
                 print(f"{path}: solution is not {name}: witness={witness}")
                 return 1
-    result = verify_theorem_a(sx, sy, check=False)
+    try:
+        result = verify_theorem_a(sx, sy, check=False)
+    except ValueError as exc:       # unchecked tables whose pair map is not a bijection
+        raise ParseError(f"no representing matrix: {exc}") from exc
     print(result.verdict_line())
     return 0 if result.ok else 1
 

@@ -22,9 +22,6 @@ from .errors import ShapeError
 from .setsolutions import (SetSolution, apply_r, axiom_failure, direct_product,
                            index_to_pair, invert_table, pair_to_index)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class RepMatrix:
@@ -79,16 +76,10 @@ def representing_matrix(s: SetSolution, check: bool = True) -> RepMatrix:
         name, witness = failure
         raise ValueError(f"solution is not {name}: witness={witness}")
     n = s.n
-    order = n * n
-    cells = [_ZERO] * (order * order)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            col = pair_to_index(i, j, n)
-            u, v = apply_r(s, i, j)
-            cells[(pair_to_index(u, v, n) - 1) * order + col - 1] = _ONE
-    pm = PartitionedMatrix(Matrix(order, order, cells),
-                           BlockPartition((n,) * n, (n,) * n))
-    return RepMatrix(n, pm)
+    image = [pair_to_index(*apply_r(s, i, j), n)
+             for i in range(1, n + 1) for j in range(1, n + 1)]
+    return RepMatrix(n, PartitionedMatrix(permutation_matrix(image),
+                                          BlockPartition((n,) * n, (n,) * n)))
 
 
 def _require_order(c: Matrix, order: int) -> None:
@@ -121,17 +112,10 @@ def ybe_check_scalar(c: Matrix, n: int) -> bool:
     """
     _require_order(c, n * n)
     rng = range(1, n + 1)
-    nz: dict[tuple[int, int], list] = {}
-    for i in rng:
-        for j in rng:
-            col = pair_to_index(i, j, n)
-            lst = []
-            for k in rng:
-                for l in rng:
-                    v = c.entry(pair_to_index(k, l, n), col)
-                    if v:
-                        lst.append(((k, l), v))
-            nz[(i, j)] = lst
+    # nz[(i, j)]: the nonzero (k, l) targets of column (i-1)n + j, in order
+    nz = {index_to_pair(col, n): [(index_to_pair(row, n), v)
+                                  for row, v in enumerate(cells, start=1) if v]
+          for col, cells in enumerate(c.transpose().to_rows(), start=1)}
     for i, j, k in itertools.product(rng, repeat=3):
         lhs: dict[tuple, Fraction] = defaultdict(Fraction)
         for (p, q), v1 in nz[(i, j)]:
@@ -258,9 +242,7 @@ def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> Th
     em, pm = e.matrix, prod.matrix
     if em == pm:
         return TheoremAResult(True, sx.n, sy.n)
-    cols = em.cols
-    for idx, (a, b) in enumerate(zip(em._cells, pm._cells)):
-        if a != b:
-            return TheoremAResult(False, sx.n, sy.n,
-                                  (idx // cols + 1, idx % cols + 1, a, b))
-    raise AssertionError("matrices compare unequal but no entry differs")
+    # equal orders, so unequal matrices differ in some entry
+    i, j = next((i, j) for i in range(1, em.rows + 1) for j in range(1, em.cols + 1)
+                if em.entry(i, j) != pm.entry(i, j))
+    return TheoremAResult(False, sx.n, sy.n, (i, j, em.entry(i, j), pm.entry(i, j)))

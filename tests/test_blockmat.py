@@ -584,3 +584,110 @@ def test_kronecker_transpose_distributes(a, b):
 def test_csv_roundtrip_property(m):
     back, _ = parse_matrix_csv(format_matrix_csv(m))
     assert back == m
+
+
+# --- the sparse kernel against naive list-of-lists Fraction formulas --------
+
+def _offsets(sizes):
+    return [sum(sizes[:k]) for k in range(len(sizes))]
+
+
+def _naive_blocks(cells, part):
+    return [[[row[c0:c0 + w] for row in cells[r0:r0 + h]]
+             for c0, w in zip(_offsets(part.col_sizes), part.col_sizes)]
+            for r0, h in zip(_offsets(part.row_sizes), part.row_sizes)]
+
+
+def _naive_join(grid):
+    return [sum((blk[r] for blk in brow), []) for brow in grid for r in range(len(brow[0]))]
+
+
+def _naive_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+@st.composite
+def sparse_partitioned(draw, part=None):
+    """A partitioned matrix with random strips and random sparsity, often
+    with an all-zero row and an all-zero column."""
+    if part is None:
+        strips = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+        part = BlockPartition(draw(strips), draw(strips))
+    rows, cols = sum(part.row_sizes), sum(part.col_sizes)
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    zero_row, zero_col = rng.randrange(rows + 1), rng.randrange(cols + 1)
+    cells = [[F(rng.randint(-5, 5), rng.randint(1, 7))
+              if rng.random() < density and r != zero_row and c != zero_col else F(0)
+              for c in range(cols)] for r in range(rows)]
+    return PartitionedMatrix(Matrix.from_rows(cells), part)
+
+
+def _same(result, naive):
+    # equal entries, and equal to the public constructor's matrix, so the
+    # kernel stores no zero that == or hash would see
+    assert result.to_rows() == naive
+    assert result == Matrix.from_rows(naive)
+    assert hash(result) == hash(Matrix.from_rows(naive))
+
+
+@given(sparse_partitioned(), sparse_partitioned())
+@settings(deadline=None, max_examples=60)
+def test_partitioned_products_match_naive_formulas(pa, pb):
+    a, b = pa.matrix.to_rows(), pb.matrix.to_rows()
+    _same(kronecker(pa.matrix, pb.matrix), _naive_kron(a, b))
+    ga, gb = _naive_blocks(a, pa.partition), _naive_blocks(b, pb.partition)
+    ts = tracy_singh(pa, pb)
+    _same(ts.matrix, _naive_join([[_naive_kron(x, y) for x in ra for y in rb]
+                                  for ra in ga for rb in gb]))
+    assert ts.partition.row_sizes == tuple(
+        p * q for p in pa.partition.row_sizes for q in pb.partition.row_sizes)
+    for i in range(1, pa.n_block_rows + 1):
+        for j in range(1, pa.n_block_cols + 1):
+            _same(pa.block(i, j), ga[i - 1][j - 1])
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_same_shape_operations_match_naive_formulas(data):
+    pa = data.draw(sparse_partitioned())
+    pb = data.draw(sparse_partitioned(pa.partition))
+    a, b = pa.matrix.to_rows(), pb.matrix.to_rows()
+    ga, gb = _naive_blocks(a, pa.partition), _naive_blocks(b, pb.partition)
+    _same(khatri_rao(pa, pb), _naive_join([[_naive_kron(x, y) for x, y in zip(ra, rb)]
+                                           for ra, rb in zip(ga, gb)]))
+    _same(hadamard(pa.matrix, pb.matrix),
+          [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    _same(pa.matrix + pb.matrix, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    _same(pa.matrix - pb.matrix, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    _same(-pa.matrix, [[-x for x in ra] for ra in a])
+    lam = data.draw(st.sampled_from([F(0), F(1), F(-3, 2), 2]))
+    _same(lam * pa.matrix, [[lam * x for x in ra] for ra in a])
+    _same(pa.matrix.transpose(), [list(col) for col in zip(*a)])
+    pc = data.draw(sparse_partitioned(BlockPartition(pa.partition.col_sizes, (2, 1))))
+    c = pc.matrix.to_rows()
+    _same(pa.matrix @ pc.matrix, [[sum((x * y for x, y in zip(ra, col)), F(0))
+                                   for col in zip(*c)] for ra in a])
+
+
+@given(sparse_partitioned())
+@settings(deadline=None, max_examples=30)
+def test_difference_with_itself_is_zeros(pa):
+    a = pa.matrix
+    assert a - a == zeros(a.rows, a.cols)
+    assert hash(a - a) == hash(zeros(a.rows, a.cols))
+    assert a + (-a) == zeros(a.rows, a.cols) == 0 * a
+
+
+def test_matmul_with_large_coprime_denominators_is_exact():
+    rng = random.Random(7)
+    big = 10 ** 50
+    dens = [1, 2, 3, 6, big + 1, big + 2, big + 3, (big + 1) * (big + 2)]
+
+    def entry():
+        return F(rng.randint(-big, big), rng.choice(dens)) if rng.random() < 0.7 else F(0)
+
+    a = [[entry() for _ in range(5)] for _ in range(4)]
+    b = [[entry() for _ in range(3)] for _ in range(5)]
+    naive = [[sum((x * y for x, y in zip(ra, col)), F(0)) for col in zip(*b)] for ra in a]
+    _same(rows(a) @ rows(b), naive)

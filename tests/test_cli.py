@@ -1,6 +1,7 @@
 """Command line surface: outputs, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,28 @@ def test_product_tracy_singh_partitioned(tmp_path, capsys):
     back = parse_partitioned_csv(out)
     assert back == tracy_singh(pa, pb)
     assert back.block(2, 4).to_rows()[0] == [0, 0, Fraction(3, 2), 0]
+
+
+def test_product_tracy_singh_golden_csv(tmp_path, capsys):
+    a = put(tmp_path, "a.csv", "# partition rows=1,1 cols=1,1\n1,1/2\n0,-2\n")
+    b = put(tmp_path, "b.csv", "# partition rows=2 cols=1,1\n0,3\n-1/3,0\n")
+    code, out, err = run(capsys, ["product", "tracy-singh", a, b])
+    assert (code, err) == (0, "")
+    assert out == ("# partition rows=2,2 cols=1,1,1,1\n"
+                   "0,3,0,3/2\n"
+                   "-1/3,0,-1/6,0\n"
+                   "0,0,0,-6\n"
+                   "0,0,2/3,0\n")
+
+
+def test_product_over_output_cap_exits_2(tmp_path, capsys):
+    col = put(tmp_path, "col.csv", "1\n" * 4000)
+    row = put(tmp_path, "row.csv", ",".join(["1"] * 4000) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["product", "kronecker", col, row])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: output of 4000x4000 is over the 10000000-entry cap\n"
 
 
 def test_product_hadamard_mismatch_exits_3(tmp_path, capsys):
@@ -179,6 +202,18 @@ def test_repmat_output_in_missing_dir_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_repmat_over_output_cap_exits_2(tmp_path, capsys):
+    n = 57                  # order n^2 = 3249, so n^4 cells are over 10^7
+    ident = list(range(1, n + 1))
+    path = put(tmp_path, "big.json", json.dumps({"n": n, "sigma": [ident] * n,
+                                                 "gamma": [ident] * n}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["repmat", path])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: output of 3249x3249 is over the 10000000-entry cap\n"
+
+
 def test_direct_product_output(tmp_path, capsys):
     x = put(tmp_path, "x.json", TRIVIAL_JSON)
     y = put(tmp_path, "y.json", SWAP_JSON)
@@ -214,6 +249,17 @@ def test_verify_theorem_a_skip_checks_still_structural(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify-theorem-a", x, y, "--skip-checks"])
     assert code == 0
     assert out == "THEOREM_A ok n=2 m=2 pairs=1\n"
+
+
+def test_verify_theorem_a_skip_checks_non_bijective_exits_2(tmp_path, capsys):
+    # constant tables: the pair map is not a bijection, so no permutation
+    # matrix represents it
+    x = put(tmp_path, "x.json", TRIVIAL_JSON)
+    y = put(tmp_path, "y.json",
+            '{"n": 2, "sigma": [[1, 1], [1, 1]], "gamma": [[1, 1], [1, 1]]}')
+    code, out, err = run(capsys, ["verify-theorem-a", x, y, "--skip-checks"])
+    assert (code, out) == (2, "")
+    assert err == "error: no representing matrix: image is not a bijection of 1..n\n"
 
 
 def test_enumerate_stream(tmp_path, capsys):
