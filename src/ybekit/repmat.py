@@ -16,10 +16,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, identity,
-                       inverse, kronecker, permutation_matrix, tracy_singh)
+from .blockmat import (BlockPartition, Matrix, PartitionedMatrix,
+                       commutation_matrix, identity, inverse, kronecker,
+                       permutation_matrix, tracy_singh)
 from .errors import ShapeError
-from .setsolutions import (SetSolution, apply_r, axiom_failure, direct_product,
+from .setsolutions import (SetSolution, _pair_map, axiom_failure, direct_product,
                            index_to_pair, invert_table, pair_to_index)
 
 
@@ -76,8 +77,7 @@ def representing_matrix(s: SetSolution, check: bool = True) -> RepMatrix:
         name, witness = failure
         raise ValueError(f"solution is not {name}: witness={witness}")
     n = s.n
-    image = [pair_to_index(*apply_r(s, i, j), n)
-             for i in range(1, n + 1) for j in range(1, n + 1)]
+    image = [t + 1 for t in _pair_map(s)]
     return RepMatrix(n, PartitionedMatrix(permutation_matrix(image),
                                           BlockPartition((n,) * n, (n,) * n)))
 
@@ -136,14 +136,9 @@ def ybe_check_scalar(c: Matrix, n: int) -> bool:
 
 
 def flip_matrix(n: int) -> Matrix:
-    """Permutation matrix of the factor swap e_i (x) e_j -> e_j (x) e_i."""
-    if n < 1:
-        raise ShapeError("flip order must be positive")
-    image = [0] * (n * n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            image[pair_to_index(i, j, n) - 1] = pair_to_index(j, i, n)
-    return permutation_matrix(image)
+    """Permutation matrix of the factor swap e_i (x) e_j -> e_j (x) e_i,
+    which is the commutation matrix K(n, n)."""
+    return commutation_matrix(n, n)
 
 
 def compose_flip(c: Matrix, n: int, side: str) -> Matrix:
@@ -232,7 +227,8 @@ def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> Th
     product solution.
 
     Both sides are assembled positionally from the same four table families,
-    so the equality holds for any well-formed tables; the axiom checks
+    so the equality holds whenever the three pair maps are bijections;
+    representing_matrix raises ValueError when one is not.  The axiom checks
     (check=True) are what tie the statement to genuine solutions.  The
     mismatch branch guards against regressions in either construction."""
     c = representing_matrix(sx, check=check)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from ybekit.blockmat import BlockPartition, Matrix, PartitionedMatrix
 from ybekit.enumeration import EnumerationConfig, enumerate_solutions
@@ -23,6 +24,34 @@ def swap_solution() -> SetSolution:
 def cycle_solution3() -> SetSolution:
     """Order-3 solution with a 3-cycle sigma and its inverse as gamma."""
     return SetSolution(3, ((2, 3, 1),) * 3, ((3, 1, 2),) * 3)
+
+
+@st.composite
+def set_maps(draw, max_n: int = 4) -> SetSolution:
+    """Tables of a map r on {1..n}, n <= max_n, drawn as r on the n*n pairs:
+    an arbitrary map, a bijection, an involution, or the involutive braided
+    r(x, y) = (f(y), f^-1(x)) of a permutation f."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    kind = draw(st.sampled_from(["map", "bijection", "involution", "lyubashenko"]))
+    if kind == "map":
+        image = draw(st.lists(st.sampled_from(pairs), min_size=n * n, max_size=n * n))
+    elif kind == "bijection":
+        image = draw(st.permutations(pairs))
+    elif kind == "involution":
+        order = draw(st.permutations(range(n * n)))
+        image = list(pairs)
+        for a, b in zip(order[::2], order[1::2]):
+            image[a], image[b] = pairs[b], pairs[a]
+    else:
+        f = draw(st.permutations(range(1, n + 1)))
+        image = [(f[y - 1], f.index(x) + 1) for x, y in pairs]
+    sigma = [[0] * n for _ in range(n)]
+    gamma = [[0] * n for _ in range(n)]
+    for (x, y), (u, v) in zip(pairs, image):
+        sigma[x - 1][y - 1] = u
+        gamma[y - 1][x - 1] = v
+    return SetSolution(n, tuple(map(tuple, sigma)), tuple(map(tuple, gamma)))
 
 
 # Rational cores of the order-4 pair used throughout the product tests.

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     cycle_solution3,
     random_matrix,
+    set_maps,
     swap_solution,
     trivial_solution,
 )
@@ -110,6 +112,26 @@ def test_representing_matrix_rejects_non_solutions():
     # the bypass keeps the raw column rule available for negative controls
     rep = representing_matrix(cyc, check=False)
     assert is_permutation_matrix(rep.pm.matrix)
+
+
+@given(set_maps())
+@settings(deadline=None, max_examples=150)
+def test_representing_matrix_matches_naive_columns(s):
+    # column (i-1)n + j holds a single 1 at row (u-1)n + v, (u, v) = r(i, j)
+    n = s.n
+    targets = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            u, v = apply_r(s, i, j)
+            targets.append((u - 1) * n + v)
+    if sorted(targets) != list(range(1, n * n + 1)):
+        with pytest.raises(ValueError, match=r"^image is not a bijection of 1\.\.n$"):
+            representing_matrix(s, check=False)
+        return
+    m = representing_matrix(s, check=False).matrix
+    for col, row in enumerate(targets, start=1):
+        assert [m.entry(r, col) for r in range(1, n * n + 1)] == [
+            int(r == row) for r in range(1, n * n + 1)]
 
 
 def test_ybe_check_matrix():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_solution3, swap_solution, trivial_solution
+import ybekit.setsolutions
+from conftest import cycle_solution3, set_maps, swap_solution, trivial_solution
 from ybekit.errors import ParseError
 from ybekit.setsolutions import (
     CheckResult,
@@ -150,6 +151,53 @@ def test_checks_agree_on_random_tables():
         for res in [report.nondegenerate, report.involutive, report.braided,
                     report.square_free, report.trivial]:
             assert res.ok == (res.witness is None)
+
+
+def _naive_involution_witness(s):
+    for x, y in itertools.product(range(1, s.n + 1), repeat=2):
+        if apply_r(s, *apply_r(s, x, y)) != (x, y):
+            return (x, y)
+    return None
+
+
+def _naive_braided(s):
+    def r12(t):
+        return (*apply_r(s, t[0], t[1]), t[2])
+
+    def r23(t):
+        return (t[0], *apply_r(s, t[1], t[2]))
+
+    return all(r12(r23(r12(t))) == r23(r12(r23(t)))
+               for t in itertools.product(range(1, s.n + 1), repeat=3))
+
+
+@given(set_maps())
+@settings(deadline=None, max_examples=150)
+def test_checks_match_naive_pair_map_oracle(s):
+    assert is_involutive(s).witness == _naive_involution_witness(s)
+    assert is_braided(s).ok == _naive_braided(s)
+
+
+def test_involutive_cross_check_fires_on_a_corrupted_pair_map(monkeypatch):
+    # fault injection: the pair map swaps the images of (1,1) and (1,2), so
+    # the direct route no longer agrees with the sigma/gamma tables
+    real = ybekit.setsolutions._pair_map
+
+    def swapped(s):
+        r = real(s)
+        r[0], r[1] = r[1], r[0]
+        return r
+
+    monkeypatch.setattr(ybekit.setsolutions, "_pair_map", swapped)
+    with pytest.raises(AssertionError, match="^involutivity formulations disagree$"):
+        is_involutive(trivial_solution(2))
+
+
+def test_braid_cross_check_fires_on_a_corrupted_witness(monkeypatch):
+    # fault injection: the componentwise route misses NOT_BRAIDED's failure
+    monkeypatch.setattr(ybekit.setsolutions, "_braid_witness", lambda sig, gam, n: None)
+    with pytest.raises(AssertionError, match="^braid formulations disagree$"):
+        is_braided(NOT_BRAIDED)
 
 
 def test_axiom_failure_first_in_order():
