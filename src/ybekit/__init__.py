@@ -2,11 +2,10 @@
 with desk-scale verifiers tying the two together."""
 
 from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, Scalar,
-                       assemble_blocks, block, commutation_matrix,
-                       format_matrix_csv, hadamard, identity, inverse,
-                       is_permutation_matrix, khatri_rao, kronecker,
-                       parse_matrix_csv, parse_partitioned_csv,
-                       permutation_matrix, tracy_singh)
+                       assemble_blocks, commutation_matrix, format_matrix_csv,
+                       hadamard, identity, inverse, is_permutation_matrix,
+                       khatri_rao, kronecker, parse_matrix_csv,
+                       parse_partitioned_csv, permutation_matrix, tracy_singh)
 from .enumeration import (EnumerationConfig, EnumerationLimitError,
                           dedupe_up_to_iso, enumerate_solutions, iso_classes)
 from .errors import ParseError, ShapeError, SingularMatrixError

@@ -84,14 +84,12 @@ class Matrix:
         return self._nz[i - 1].get(j - 1, _ZERO)
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row_cells(r)) for r in range(self.rows)]
-
-    def row_cells(self, r0: int) -> tuple[Fraction, ...]:
-        """0-based row, zeros included."""
-        row = [_ZERO] * self.cols
-        for j, v in self._nz[r0].items():
-            row[j] = v
-        return tuple(row)
+        """Dense rows, zeros included."""
+        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for row, d in zip(out, self._nz):
+            for j, v in d.items():
+                row[j] = v
+        return out
 
     def transpose(self) -> "Matrix":
         out = [{} for _ in range(self.cols)]
@@ -170,7 +168,8 @@ def identity(n: int) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by Gauss-Jordan elimination on the nonzeros of [a | I];
+    an entry that cancels to zero is deleted at once.
 
     The pivot is the first nonzero entry in the column: with exact
     arithmetic no magnitude-based pivoting is needed.
@@ -178,21 +177,25 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
     n = a.rows
-    # rows of the augmented matrix [a | I]
-    work = [r + e for r, e in zip(a.to_rows(), identity(n).to_rows())]
+    work = [{**row, n + i: _ONE} for i, row in enumerate(a._nz)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
+        piv = next((r for r in range(col, n) if col in work[r]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         work[col], work[piv] = work[piv], work[col]
         p = work[col][col]
         if p != 1:
-            work[col] = [x / p for x in work[col]]
-        for r in range(n):
-            f = work[r][col]
+            work[col] = {j: x / p for j, x in work[col].items()}
+        pivot_row = work[col]
+        for r, row in enumerate(work):
+            f = row.get(col)
             if r != col and f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return Matrix.from_rows([r[n:] for r in work])
+                for j, y in pivot_row.items():
+                    if x := row.get(j, 0) - f * y:
+                        row[j] = x
+                    else:
+                        del row[j]
+    return _matrix(n, n, ({j - n: v for j, v in row.items() if j >= n} for row in work))
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
@@ -303,10 +306,6 @@ class PartitionedMatrix:
 
     def transpose(self) -> "PartitionedMatrix":
         return PartitionedMatrix(self.matrix.transpose(), self.partition.transpose())
-
-
-def block(p: PartitionedMatrix, i: int, j: int) -> Matrix:
-    return p.block(i, j)
 
 
 def assemble_blocks(grid: Sequence[Sequence[Matrix]]) -> Matrix:

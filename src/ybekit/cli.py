@@ -9,6 +9,7 @@ partition mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -21,10 +22,8 @@ from .enumeration import (EnumerationConfig, EnumerationLimitError,
                           enumerate_solutions, iso_classes)
 from .errors import ParseError, ShapeError
 from .repmat import compose_flip, representing_matrix, verify_theorem_a
-from .setsolutions import (axiom_failure, check_solution, direct_product,
+from .setsolutions import (CheckReport, axiom_failure, check_solution, direct_product,
                            isomorphic_set, solution_from_json, solution_to_json)
-
-_CHECK_ORDER = ("nondegenerate", "involutive", "braided", "square_free", "trivial")
 
 
 def _read_text(path: str) -> str:
@@ -75,9 +74,9 @@ def _cmd_product(args) -> int:
 
 def _cmd_check(args) -> int:
     report = check_solution(_load_solution(args.solution))
-    for name in _CHECK_ORDER:
-        result = getattr(report, name)
-        line = f"{name}: {'true' if result.ok else 'false'}"
+    for field in dataclasses.fields(CheckReport):
+        result = getattr(report, field.name)
+        line = f"{field.name}: {'true' if result.ok else 'false'}"
         if not result.ok:
             line += f" witness={result.witness}"
         print(line)
@@ -88,11 +87,11 @@ def _cmd_check(args) -> int:
 def _cmd_repmat(args) -> int:
     s = _load_solution(args.solution)
     _require_output_cells(s.n ** 2, s.n ** 2)
-    if (failure := axiom_failure(s)) is not None:
-        name, witness = failure
-        print(f"solution is not {name}: witness={witness}", file=sys.stderr)
+    try:
+        rep = representing_matrix(s)
+    except ValueError as exc:       # the axiom gate's failure, with its witness
+        print(exc, file=sys.stderr)
         return 1
-    rep = representing_matrix(s, check=False)
     matrix = rep.matrix
     if args.flip:
         matrix = compose_flip(matrix, rep.n, "left")
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collapse isomorphism classes and report their sizes")
     p.add_argument("--out-dir", default=None, help="write one JSON file per solution here")
     p.add_argument("--limit", type=int, default=None,
-                   help="refuse to search candidate spaces larger than this")
+                   help="stop with exit 2 once the search visits more nodes than this")
     p.add_argument("--max-n", type=int, default=None,
                    help="hard size cap (default 4, or YBEKIT_MAX_N)")
     p.set_defaults(func=_cmd_enumerate)

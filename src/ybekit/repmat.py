@@ -90,10 +90,8 @@ def _require_order(c: Matrix, order: int) -> None:
 def ybe_check_matrix(c: Matrix, n: int) -> bool:
     """Braid form on V (x) V (x) V: (c (x) I)(I (x) c)(c (x) I) equals
     (I (x) c)(c (x) I)(I (x) c)."""
-    _require_order(c, n * n)
-    eye = identity(n)
-    c12 = kronecker(c, eye)
-    c23 = kronecker(eye, c)
+    c12 = embed_on_factors(c, n, (1, 2))
+    c23 = embed_on_factors(c, n, (2, 3))
     return c12 @ c23 @ c12 == c23 @ c12 @ c23
 
 
@@ -157,8 +155,9 @@ def embed_on_factors(m: Matrix, n: int, factors: tuple[int, int]) -> Matrix:
     """Embed an operator on V (x) V into V (x) V (x) V acting on the named
     pair of tensor factors, identity elsewhere.
 
-    The (1,3) embedding is built by conjugating m (x) I with the explicit
-    permutation matrix that swaps the last two tensor factors.
+    The (1,3) embedding is the Tracy-Singh product of I (one block) with m
+    cut into its n x n grid of order-n blocks: it acts on e_a (x) e_b (x) e_c
+    through a and c only, so its block (i, k) is I (x) m_ik.
     """
     _require_order(m, n * n)
     factors = tuple(factors)
@@ -168,14 +167,13 @@ def embed_on_factors(m: Matrix, n: int, factors: tuple[int, int]) -> Matrix:
     if factors == (2, 3):
         return kronecker(eye, m)
     if factors == (1, 3):
-        swap23 = kronecker(eye, flip_matrix(n))
-        return swap23 @ kronecker(m, eye) @ swap23
+        return tracy_singh(PartitionedMatrix.single(eye),
+                           PartitionedMatrix.uniform(m, n, n)).matrix
     raise ValueError("factor pair must be (1,2), (1,3) or (2,3)")
 
 
 def qybe_check(r: Matrix, n: int) -> bool:
     """Quantum form: R12 R13 R23 = R23 R13 R12 on V (x) V (x) V."""
-    _require_order(r, n * n)
     r12 = embed_on_factors(r, n, (1, 2))
     r13 = embed_on_factors(r, n, (1, 3))
     r23 = embed_on_factors(r, n, (2, 3))

@@ -291,24 +291,17 @@ def index_to_pair(t: int, m: int) -> tuple[int, int]:
 
 
 def direct_product(sx: SetSolution, sy: SetSolution) -> SetSolution:
-    """Componentwise product on pairs, flattened by pair_to_index.
+    """Componentwise product on pairs, flattened as by pair_to_index.
 
     The point (i, k) of the product set is the index (i-1)m + k with
     m = sy.n; its sigma table acts as sigma_i on the first component and as
-    sy's sigma_k on the second, and likewise for gamma.
+    sy's sigma_k on the second, and likewise for gamma.  Both factors'
+    tables are range-checked already, so the flat index needs no check.
     """
-    n, m = sx.n, sy.n
-    sigma = []
-    gamma = []
-    for i in range(1, n + 1):
-        for k in range(1, m + 1):
-            sigma.append(tuple(
-                pair_to_index(sx.sigma[i - 1][j - 1], sy.sigma[k - 1][l - 1], m)
-                for j in range(1, n + 1) for l in range(1, m + 1)))
-            gamma.append(tuple(
-                pair_to_index(sx.gamma[i - 1][j - 1], sy.gamma[k - 1][l - 1], m)
-                for j in range(1, n + 1) for l in range(1, m + 1)))
-    return SetSolution(n * m, tuple(sigma), tuple(gamma))
+    m = sy.n
+    tables = (tuple(tuple((a - 1) * m + b for a in ta for b in tb) for ta in tx for tb in ty)
+              for tx, ty in ((sx.sigma, sy.sigma), (sx.gamma, sy.gamma)))
+    return SetSolution(sx.n * m, *tables)
 
 
 def isomorphic_set(sa: SetSolution, sb: SetSolution) -> Permutation | None:

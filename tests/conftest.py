@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ybekit.blockmat import BlockPartition, Matrix, PartitionedMatrix
+from ybekit.blockmat import BlockPartition, Matrix, PartitionedMatrix, identity
 from ybekit.enumeration import EnumerationConfig, enumerate_solutions
+from ybekit.errors import SingularMatrixError
 from ybekit.setsolutions import SetSolution
 
 
@@ -101,6 +102,57 @@ def random_invertible(rng: random.Random, n: int) -> Matrix:
     upper = [[Fraction(rng.randint(-2, 2)) if i < j else Fraction(int(i == j))
               for j in range(n)] for i in range(n)]
     return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+
+
+def dense_inverse(a: Matrix) -> Matrix:
+    """Reference inverse: Gauss-Jordan over every cell of the dense rows of
+    [a | I], pivot on the first nonzero entry in the column."""
+    n = a.rows
+    work = [r + e for r, e in zip(a.to_rows(), identity(n).to_rows())]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        p = work[col][col]
+        if p != 1:
+            work[col] = [x / p for x in work[col]]
+        for r in range(n):
+            f = work[r][col]
+            if r != col and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return Matrix.from_rows([r[n:] for r in work])
+
+
+_SPARSE_ENTRIES = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def sparse_square_matrices(draw, max_n: int = 5):
+    """(matrix, singular) with singular True, False or None (not known):
+    sparse random entries; a permutation matrix; P D U with U unit upper
+    triangular and sparse, D a diagonal of non-unit scales and P a row
+    permutation, so elimination needs row swaps and divides by pivots; or a
+    sparse matrix with one row a multiple (possibly 0) of another."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["sparse", "permutation", "swaps", "singular"]))
+    cell = st.sampled_from(_SPARSE_ENTRIES)
+    rows = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+    if kind in ("permutation", "swaps"):
+        image = draw(st.permutations(range(n)))
+        upper = [[int(i == j) if i >= j or kind == "permutation" else rows[i][j]
+                  for j in range(n)] for i in range(n)]
+        scales = ([1] * n if kind == "permutation" else
+                  draw(st.lists(st.sampled_from([1, -1, 3, Fraction(2, 5)]),
+                                min_size=n, max_size=n)))
+        rows = [[scales[i] * x for x in upper[image[i]]] for i in range(n)]
+        return Matrix.from_rows(rows), False
+    if kind == "singular":
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        factor = draw(cell)
+        rows[dst] = [0] * n if src == dst else [factor * x for x in rows[src]]
+        return Matrix.from_rows(rows), True
+    return Matrix.from_rows(rows), None
 
 
 def bijection_level_oracle(n: int):

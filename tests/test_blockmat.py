@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_inverse,
     random_invertible,
     random_matrix,
     random_partitioned,
     random_sizes,
     sample_a,
     sample_b,
+    sparse_square_matrices,
 )
 from ybekit.blockmat import (
     CSV_MAX_DIGITS,
@@ -22,7 +24,6 @@ from ybekit.blockmat import (
     Matrix,
     PartitionedMatrix,
     assemble_blocks,
-    block,
     commutation_matrix,
     format_matrix_csv,
     hadamard,
@@ -147,6 +148,23 @@ def test_inverse_of_permutation_is_transpose():
         rng.shuffle(img)
         p = permutation_matrix(tuple(img))
         assert inverse(p) == p.transpose()
+
+
+@given(sparse_square_matrices())
+@settings(deadline=None, max_examples=300)
+def test_inverse_matches_dense_reference(drawn):
+    m, singular = drawn
+    try:
+        expected = dense_inverse(m)
+    except SingularMatrixError:
+        assert singular is not False
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        return
+    assert singular is not True
+    got = inverse(m)
+    assert got == expected and hash(got) == hash(expected)
+    assert all(0 not in row.values() for row in got._nz)
 
 
 def test_kronecker_frozen():
@@ -283,14 +301,14 @@ def test_partitioned_matrix_validation():
 
 def test_block_extraction_frozen():
     a = sample_a()
-    assert block(a, 1, 2) == rows([[0, 1], [-1, 0]])
-    assert block(a, 2, 1) == rows([[0, 1], [-1, 0]])
+    assert a.block(1, 2) == rows([[0, 1], [-1, 0]])
+    assert a.block(2, 1) == rows([[0, 1], [-1, 0]])
     b = sample_b()
-    assert block(b, 2, 2) == rows([[F(3, 2), 0], [0, 2]])
+    assert b.block(2, 2) == rows([[F(3, 2), 0], [0, 2]])
     with pytest.raises(IndexError):
-        block(a, 3, 1)
+        a.block(3, 1)
     with pytest.raises(IndexError):
-        block(a, 1, 0)
+        a.block(1, 0)
 
 
 def test_block_grid_reassembles():
@@ -331,7 +349,7 @@ def test_tracy_singh_frozen_block():
         [0, -2, 0, 0],
     ])
     assert ts.block(2, 4) == expected
-    assert kronecker(block(sample_a(), 1, 2), block(sample_b(), 2, 2)) == expected
+    assert kronecker(sample_a().block(1, 2), sample_b().block(2, 2)) == expected
 
 
 def test_tracy_singh_block_scan():

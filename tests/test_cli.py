@@ -356,11 +356,14 @@ def test_enumerate_refuses_out_dir_holding_output(tmp_path, capsys):
 
 
 def test_enumerate_candidate_limit(tmp_path, capsys):
-    code, _, _ = run(capsys, ["enumerate", "2", "--limit", "3"])
-    assert code == 2
-    code, out, _ = run(capsys, ["enumerate", "2", "--limit", "4"])
-    assert code == 0
-    assert len(out.splitlines()) == 2
+    # --limit budgets the search nodes: 5 at n = 2 and 1 599 at n = 4
+    for n, nodes, count in [("2", 5, 2), ("4", 1599, 168)]:
+        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes - 1)])
+        assert code == 2 and out == ""
+        assert err == f"error: search exceeds its budget of {nodes - 1} nodes\n"
+        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes)])
+        assert code == 0
+        assert len(out.splitlines()) == count and err == f"{count} solutions\n"
 
 
 def test_enumerate_invalid_n(tmp_path, capsys):

@@ -8,7 +8,6 @@ from conftest import bijection_level_oracle, cycle_solution3, trivial_solution
 from ybekit.enumeration import (
     EnumerationConfig,
     EnumerationLimitError,
-    candidate_count,
     dedupe_up_to_iso,
     enumerate_solutions,
     iso_classes,
@@ -19,13 +18,6 @@ from ybekit.setsolutions import (
     check_solution,
     isomorphic_set,
 )
-
-
-def test_candidate_count():
-    assert candidate_count(1) == 1
-    assert candidate_count(2) == 4
-    assert candidate_count(3) == 216
-    assert candidate_count(4) == 331776
 
 
 def test_config_validation():
@@ -149,9 +141,12 @@ def test_size_cap():
 
 
 def test_candidate_space_limit():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_solutions(EnumerationConfig(2, limit=3))
-    assert len(enumerate_solutions(EnumerationConfig(2, limit=4))) == 2
+    # the limit budgets the search nodes, the root included: 2, 5, 43 and
+    # 1 599 for n = 1..4, far below the (n!)^n sigma assignments
+    for n, nodes, count in [(1, 2, 1), (2, 5, 2), (3, 43, 12), (4, 1599, 168)]:
+        with pytest.raises(EnumerationLimitError, match=f"budget of {nodes - 1} nodes"):
+            enumerate_solutions(EnumerationConfig(n, limit=nodes - 1))
+        assert len(enumerate_solutions(EnumerationConfig(n, limit=nodes))) == count
 
 
 def test_limit_error_is_runtime_error():

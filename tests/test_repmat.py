@@ -212,14 +212,17 @@ def test_embed_on_factors_13_alternative_route():
     # swapping factors 2,3 before and after M (x) I equals swapping 1,2
     # around I (x) M; both say "act on factors 1 and 3"
     rng = random.Random(107)
-    for n in [2, 3]:
-        m = random_matrix(rng, n * n, n * n, span=2, max_den=2)
+    for n in [1, 2, 3]:
+        dense = random_matrix(rng, n * n, n * n, span=2, max_den=2)
+        sparse = Matrix(n * n, n * n, [rng.choice([0, 0, 0, 0, 1, -2, Fraction(1, 3)])
+                                       for _ in range(n ** 4)])
         tau = flip_matrix(n)
-        route_23 = kronecker(identity(n), tau) @ kronecker(m, identity(n)) \
-            @ kronecker(identity(n), tau)
-        route_12 = kronecker(tau, identity(n)) @ kronecker(identity(n), m) \
-            @ kronecker(tau, identity(n))
-        assert embed_on_factors(m, n, (1, 3)) == route_23 == route_12
+        for m in (dense, sparse, zeros(n * n, n * n)):
+            route_23 = kronecker(identity(n), tau) @ kronecker(m, identity(n)) \
+                @ kronecker(identity(n), tau)
+            route_12 = kronecker(tau, identity(n)) @ kronecker(identity(n), m) \
+                @ kronecker(tau, identity(n))
+            assert embed_on_factors(m, n, (1, 3)) == route_23 == route_12
 
 
 def test_qybe_check():

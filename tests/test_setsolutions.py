@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybekit.setsolutions
@@ -320,19 +320,19 @@ def test_direct_product_frozen_values():
         assert apply_r(z, i, j) == expected
 
 
-def test_direct_product_componentwise():
-    sx, sy = swap_solution(), cycle_solution3()
-    m = sy.n
+@given(set_maps(max_n=3), set_maps(max_n=3))
+@example(swap_solution(), cycle_solution3())
+@settings(deadline=None, max_examples=100)
+def test_direct_product_componentwise(sx, sy):
+    # the product acts componentwise on every pair, whatever the maps are
+    n, m = sx.n, sy.n
     z = direct_product(sx, sy)
-    for i in range(1, sx.n + 1):
-        for k in range(1, m + 1):
-            for j in range(1, sx.n + 1):
-                for l in range(1, m + 1):
-                    u, v = apply_r(z, pair_to_index(i, k, m), pair_to_index(j, l, m))
-                    su, gu = apply_r(sx, i, j)
-                    au, bu = apply_r(sy, k, l)
-                    assert u == pair_to_index(su, au, m)
-                    assert v == pair_to_index(gu, bu, m)
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        su, gu = apply_r(sx, i, j)
+        for k, l in itertools.product(range(1, m + 1), repeat=2):
+            au, bu = apply_r(sy, k, l)
+            assert (apply_r(z, pair_to_index(i, k, m), pair_to_index(j, l, m))
+                    == (pair_to_index(su, au, m), pair_to_index(gu, bu, m)))
 
 
 def test_direct_product_singleton_neutral():
