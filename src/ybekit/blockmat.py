@@ -221,15 +221,20 @@ def commutation_matrix(m: int, n: int) -> Matrix:
                                   for i in range(1, m + 1) for j in range(1, n + 1)))
 
 
+def _function_matrix(targets: Sequence[int]) -> Matrix:
+    """0/1 matrix of a map on 0..n-1: column i has its single 1 at row
+    targets[i]."""
+    rows = [{} for _ in targets]
+    for i, t in enumerate(targets):
+        rows[t][i] = _ONE
+    return _matrix(len(rows), len(rows), rows)
+
+
 def permutation_matrix(image: Sequence[int]) -> Matrix:
     """Permutation matrix P with P e_i = e_image[i-1] (1-based images)."""
-    n = len(image)
-    if sorted(image) != list(range(1, n + 1)):
+    if sorted(image) != list(range(1, len(image) + 1)):
         raise ValueError("image is not a bijection of 1..n")
-    rows = [{} for _ in range(n)]
-    for i, v in enumerate(image):
-        rows[v - 1][i] = _ONE
-    return _matrix(n, n, rows)
+    return _function_matrix([v - 1 for v in image])
 
 
 def is_permutation_matrix(a: Matrix) -> bool:

@@ -94,8 +94,8 @@ def _cmd_repmat(args) -> int:
         return 1
     matrix = rep.matrix
     if args.flip:
-        matrix = compose_flip(matrix, rep.n, "left")
-    _emit(format_matrix_csv(matrix, rep.pm.partition), args.output)
+        matrix = compose_flip(matrix, s.n, "left")
+    _emit(format_matrix_csv(matrix, rep.partition), args.output)
     return 0
 
 
@@ -114,10 +114,7 @@ def _cmd_verify_theorem_a(args) -> int:
                 name, witness = failure
                 print(f"{path}: solution is not {name}: witness={witness}")
                 return 1
-    try:
-        result = verify_theorem_a(sx, sy, check=False)
-    except ValueError as exc:       # unchecked tables whose pair map is not a bijection
-        raise ParseError(f"no representing matrix: {exc}") from exc
+    result = verify_theorem_a(sx, sy, check=False)
     print(result.verdict_line())
     return 0 if result.ok else 1
 

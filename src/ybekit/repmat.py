@@ -16,33 +16,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import (BlockPartition, Matrix, PartitionedMatrix,
-                       commutation_matrix, identity, inverse, kronecker,
-                       permutation_matrix, tracy_singh)
+from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, _function_matrix,
+                       commutation_matrix, identity, inverse, kronecker, tracy_singh)
 from .errors import ShapeError
 from .setsolutions import (SetSolution, _pair_map, axiom_failure, direct_product,
                            index_to_pair, invert_table, pair_to_index)
-
-
-@dataclass(frozen=True)
-class RepMatrix:
-    """Matrix of a solution on the lexicographic tensor basis: order n*n,
-    cut into an n x n grid of order-n blocks."""
-
-    n: int
-    pm: PartitionedMatrix
-
-    def __post_init__(self):
-        n = self.n
-        if self.pm.matrix.rows != n * n or self.pm.matrix.cols != n * n:
-            raise ShapeError(f"representing matrix must have order {n * n}")
-        if (self.pm.partition.row_sizes != (n,) * n
-                or self.pm.partition.col_sizes != (n,) * n):
-            raise ShapeError("representing matrix must carry the uniform order-n partition")
-
-    @property
-    def matrix(self) -> Matrix:
-        return self.pm.matrix
 
 
 @dataclass(frozen=True)
@@ -64,22 +42,23 @@ class TheoremAResult:
     m: int
     witness: tuple[int, int, Fraction, Fraction] | None = None
 
-    def verdict_line(self, pairs: int = 1) -> str:
+    def verdict_line(self) -> str:
         if self.ok:
-            return f"THEOREM_A ok n={self.n} m={self.m} pairs={pairs}"
+            return f"THEOREM_A ok n={self.n} m={self.m} pairs=1"
         return f"THEOREM_A FAIL at ({self.witness[0]},{self.witness[1]})"
 
 
-def representing_matrix(s: SetSolution, check: bool = True) -> RepMatrix:
-    """Permutation matrix sending e_i (x) e_j to e_u (x) e_v with
-    (u, v) = r(i, j); column (i-1)n + j has its 1 at row (u-1)n + v."""
+def representing_matrix(s: SetSolution, check: bool = True) -> PartitionedMatrix:
+    """0/1 matrix sending e_i (x) e_j to e_u (x) e_v with (u, v) = r(i, j),
+    cut into an n x n grid of order-n blocks: column (i-1)n + j has its 1
+    at row (u-1)n + v.  It is a permutation matrix exactly when r is a
+    bijection; with check=False it is built for any map."""
     if check and (failure := axiom_failure(s)) is not None:
         name, witness = failure
         raise ValueError(f"solution is not {name}: witness={witness}")
     n = s.n
-    image = [t + 1 for t in _pair_map(s)]
-    return RepMatrix(n, PartitionedMatrix(permutation_matrix(image),
-                                          BlockPartition((n,) * n, (n,) * n)))
+    return PartitionedMatrix(_function_matrix(_pair_map(s)),
+                             BlockPartition((n,) * n, (n,) * n))
 
 
 def _require_order(c: Matrix, order: int) -> None:
@@ -189,7 +168,13 @@ def conjugate_check(c: Matrix, p: Matrix, n: int) -> bool:
 
 def block_nonzero_position(s: SetSolution, i: int, j: int) -> BlockPosition:
     """Position of the single 1 inside block (i, j) of the representing
-    matrix: inner row sigma_i^{-1}(j), inner column sigma_j^{-1}(i)."""
+    matrix of a non-degenerate involutive solution: inner row
+    sigma_i^{-1}(j), inner column sigma_j^{-1}(i).
+
+    Block (i, j) holds the pairs (j, y) that r sends to first component i,
+    so y = sigma_j^{-1}(i) and the inner row is gamma_y(j); involutivity at
+    (j, y) gives sigma_i(gamma_y(j)) = j, so gamma_y(j) = sigma_i^{-1}(j).
+    """
     if not (1 <= i <= s.n and 1 <= j <= s.n):
         raise IndexError(f"block ({i},{j}) outside 1..{s.n}")
     inner_row = invert_table(s.sigma[i - 1])[j - 1]
@@ -225,15 +210,13 @@ def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> Th
     product solution.
 
     Both sides are assembled positionally from the same four table families,
-    so the equality holds whenever the three pair maps are bijections;
-    representing_matrix raises ValueError when one is not.  The axiom checks
+    so the equality holds for any maps, bijective or not.  The axiom checks
     (check=True) are what tie the statement to genuine solutions.  The
     mismatch branch guards against regressions in either construction."""
     c = representing_matrix(sx, check=check)
     d = representing_matrix(sy, check=check)
     e = representing_matrix(direct_product(sx, sy), check=check)
-    prod = tracy_singh(c.pm, d.pm)
-    em, pm = e.matrix, prod.matrix
+    em, pm = e.matrix, tracy_singh(c, d).matrix
     if em == pm:
         return TheoremAResult(True, sx.n, sy.n)
     # equal orders, so unequal matrices differ in some entry

@@ -261,21 +261,6 @@ def axiom_failure(s: SetSolution) -> tuple[str, tuple] | None:
     return None
 
 
-def check_sigma_inverse_identity(s: SetSolution) -> bool:
-    """For a non-degenerate involutive solution, r(i, sigma_i^{-1}(j)) must
-    equal (j, sigma_j^{-1}(i)) for all i, j; returns the verdict."""
-    if not is_nondegenerate(s):
-        raise ValueError("identity only applies to non-degenerate solutions")
-    if not is_involutive(s):
-        raise ValueError("identity only applies to involutive solutions")
-    inv = [invert_table(t) for t in s.sigma]
-    for i in range(1, s.n + 1):
-        for j in range(1, s.n + 1):
-            if apply_r(s, i, inv[i - 1][j - 1]) != (j, inv[j - 1][i - 1]):
-                return False
-    return True
-
-
 def pair_to_index(i: int, k: int, m: int) -> int:
     """Flatten the pair (i, k), with k ranging over 1..m, to (i-1)m + k."""
     if m < 1 or i < 1 or not 1 <= k <= m:

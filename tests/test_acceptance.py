@@ -70,10 +70,10 @@ def test_criterion_01_blockwise_product_compatibility(sols2, sols3):
     pairs = 0
     bad = 0
     for (sx, rx), (sy, ry) in itertools.product(reps, repeat=2):
-        left = tracy_singh(rx.pm, ry.pm)
+        left = tracy_singh(rx, ry)
         right = representing_matrix(direct_product(sx, sy))
         ok = (left.matrix == right.matrix
-              and left.partition == right.pm.partition
+              and left.partition == right.partition
               and is_permutation_matrix(left.matrix))
         pairs += 1
         bad += 0 if ok else 1
@@ -269,7 +269,7 @@ def test_criterion_09_dual_oracle_agreement(sols2, sols3):
 
     position_bad = 0
     for s in sols:
-        pm = representing_matrix(s).pm
+        pm = representing_matrix(s)
         for i, j in itertools.product(range(1, s.n + 1), repeat=2):
             pos = block_nonzero_position(s, i, j)
             blk = pm.block(i, j)
@@ -279,9 +279,9 @@ def test_criterion_09_dual_oracle_agreement(sols2, sols3):
                 position_bad += 1
     for sx, sy in itertools.product(sols, repeat=2):
         nm = sx.n * sy.n
-        rx, ry = representing_matrix(sx).pm, representing_matrix(sy).pm
+        rx, ry = representing_matrix(sx), representing_matrix(sy)
         ts = tracy_singh(rx, ry)
-        epm = representing_matrix(direct_product(sx, sy)).pm
+        epm = representing_matrix(direct_product(sx, sy))
         for i, j in itertools.product(range(1, nm + 1), repeat=2):
             ihat, jhat, ibar, jbar = tracy_block_source(i, j, sy.n)
             if ts.block(i, j) != kronecker(rx.block(ihat, jhat),

@@ -54,6 +54,12 @@ def test_entry_is_one_based():
 def test_from_rows_rejects_ragged():
     with pytest.raises(ShapeError):
         rows([[1, 2], [3]])
+    with pytest.raises(ShapeError, match=r"^matrix needs at least one row and one column$"):
+        rows([])
+    with pytest.raises(ShapeError, match=r"^expected 4 entries, got 3$"):
+        Matrix(2, 2, [1, 2, 3])
+    with pytest.raises(ShapeError, match=r"^matrix dimensions must be positive$"):
+        Matrix(0, 2, [])
 
 
 def test_floats_are_rejected():
@@ -76,6 +82,8 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != rows([[1, F(1, 2)]])
+    assert a != 1 and a.__eq__(1) is NotImplemented
+    assert repr(a) == "Matrix(2x2: 1,1/2; 0,2)"
 
 
 def test_add_sub_neg_scale():
@@ -91,6 +99,9 @@ def test_add_sub_neg_scale():
 def test_add_shape_mismatch():
     with pytest.raises(ShapeError):
         identity(2) + identity(3)
+    with pytest.raises(TypeError,
+                       match=r"^unsupported operand type\(s\) for \+: 'Matrix' and 'int'$"):
+        identity(2) + 1
 
 
 def test_matmul_frozen():
@@ -101,6 +112,9 @@ def test_matmul_frozen():
     assert identity(2) @ a == a
     with pytest.raises(ShapeError):
         a @ identity(3)
+    with pytest.raises(TypeError,
+                       match=r"^unsupported operand type\(s\) for @: 'Matrix' and 'int'$"):
+        a @ 2
 
 
 def test_matmul_associative_seeded():
@@ -121,6 +135,8 @@ def test_transpose():
 def test_zeros_identity():
     assert zeros(2, 3) == rows([[0, 0, 0], [0, 0, 0]])
     assert identity(3) == rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ShapeError, match=r"^matrix dimensions must be positive$"):
+        zeros(0, 1)
 
 
 def test_inverse_basics():
@@ -213,6 +229,8 @@ def test_commutation_matrix_2_3_frozen():
         [0, 0, 0, 1, 0, 0],
         [0, 0, 0, 0, 0, 1],
     ])
+    with pytest.raises(ShapeError, match=r"^commutation matrix orders must be positive$"):
+        commutation_matrix(0, 2)
 
 
 def test_commutation_matrix_sum_oracle():
@@ -292,6 +310,11 @@ def test_block_partition_validation():
 def test_partitioned_matrix_validation():
     with pytest.raises(ShapeError):
         PartitionedMatrix(identity(3), BlockPartition((2, 2), (3,)))
+    with pytest.raises(ShapeError, match=r"^column partition does not sum to the matrix width$"):
+        PartitionedMatrix(identity(3), BlockPartition((3,), (2, 2)))
+    with pytest.raises(ShapeError,
+                       match=r"^uniform block sizes must divide the matrix dimensions$"):
+        PartitionedMatrix.uniform(identity(3), 2, 2)
     single = PartitionedMatrix.single(identity(3))
     assert single.partition == BlockPartition((3,), (3,))
     uni = PartitionedMatrix.uniform(identity(4), 2, 2)
@@ -326,6 +349,8 @@ def test_assemble_blocks_errors():
         assemble_blocks([[identity(2), identity(2)], [identity(2)]])
     with pytest.raises(ShapeError):
         assemble_blocks([[identity(2), identity(3)]])
+    with pytest.raises(ShapeError, match=r"^blocks in one grid column have unequal widths$"):
+        assemble_blocks([[identity(2)], [zeros(2, 3)]])
 
 
 def test_tracy_singh_single_blocks_is_kronecker():
@@ -558,6 +583,9 @@ def test_csv_parse_errors():
         parse_matrix_csv("")
     with pytest.raises(ParseError):
         parse_matrix_csv("# partition rows=zz cols=1\n1\n")
+    with pytest.raises(ParseError,
+                       match=r"^bad partition header: partition strip sizes must be positive$"):
+        parse_matrix_csv("# partition rows=0 cols=1\n1\n")
     with pytest.raises(ParseError):
         parse_matrix_csv("1,1/0\n")
     with pytest.raises(ShapeError):

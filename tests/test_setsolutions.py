@@ -18,7 +18,6 @@ from ybekit.setsolutions import (
     SetSolution,
     apply_r,
     axiom_failure,
-    check_sigma_inverse_identity,
     check_solution,
     direct_product,
     identity_table,
@@ -70,6 +69,10 @@ def test_permutation_type():
     assert Permutation.identity(3).image == (1, 2, 3)
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+    with pytest.raises(IndexError, match=r"^point 3 outside 1\.\.2$"):
+        Permutation((1, 2))(3)
+    with pytest.raises(ValueError, match=r"^cannot compose permutations of different sizes$"):
+        p.compose(Permutation((1, 2)))
 
 
 def test_solution_construction_validation():
@@ -79,6 +82,8 @@ def test_solution_construction_validation():
         SetSolution(2, ((1, 3), (1, 2)), ((1, 2), (1, 2)))
     with pytest.raises(ValueError):
         SetSolution(0, (), ())
+    with pytest.raises(ValueError, match=r"^each sigma table must have 2 entries$"):
+        SetSolution(2, ((1, 2), (1,)), ((1, 2), (1, 2)))
     # non-bijective tables are representable; checks reject them later
     s = SetSolution(2, ((1, 1), (1, 2)), ((1, 2), (1, 2)))
     assert not is_nondegenerate(s)
@@ -239,20 +244,6 @@ def test_check_solution_report():
     assert rep.nondegenerate and rep.involutive and rep.braided
     assert not rep.square_free and rep.square_free.witness == (1,)
     assert not rep.trivial and rep.trivial.witness == ("sigma", 1)
-
-
-def test_sigma_inverse_identity():
-    assert check_sigma_inverse_identity(trivial_solution(2))
-    assert check_sigma_inverse_identity(swap_solution())
-    assert check_sigma_inverse_identity(cycle_solution3())
-    cyc = SetSolution(3, ((2, 3, 1),) * 3, (identity_table(3),) * 3)
-    with pytest.raises(ValueError):
-        check_sigma_inverse_identity(cyc)
-
-
-def test_sigma_inverse_identity_all_n3(sols3):
-    for s in sols3:
-        assert check_sigma_inverse_identity(s)
 
 
 def test_gamma_is_derived_from_sigma(sols3):
@@ -528,3 +519,5 @@ def test_json_parse_errors():
     for text in bad:
         with pytest.raises(ParseError):
             solution_from_json(text)
+    with pytest.raises(ParseError, match=r"^n must be an integer$"):
+        solution_from_json('{"n": "2", "sigma": [[1, 2], [1, 2]], "gamma": [[1, 2], [1, 2]]}')
