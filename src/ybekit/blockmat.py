@@ -8,6 +8,8 @@ partitioned-matrix conventions.  Storage is sparse: one dict per row maps
 0-based columns to the nonzero entries.  The public constructor validates
 every cell; kernel outputs are built by `_matrix`, which trusts its rows.
 `@` sums integer numerators over one common denominator per output row.
+A product with `_ONE`, the only 1 `_frac` returns, is the other entry itself.
+`@` by a (partial) permutation copies or re-keys rows.  Strip maps are cached.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import operator
 import re
 import reprlib
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -31,15 +34,25 @@ _ONE = Fraction(1)
 
 def _frac(value) -> Fraction:
     # floats are rejected: binary rounding would silently break exactness
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+    return _ONE if value == 1 else value    # the unit fast paths test `x is _ONE`
+
+
+def _times(x: Fraction, y: Fraction) -> Fraction:
+    return y if x is _ONE else x if y is _ONE else x * y
+
+
+def _unit_rows(nz: Sequence[dict]) -> list | None:
+    """Column of each row's lone 1 (None if empty), or None if some row holds more."""
+    unit = all(tuple(d.values()) in ((), (_ONE,)) for d in nz)  # == tries `is` first
+    return [next(iter(d), None) for d in nz] if unit else None
 
 
 def _matrix(rows: int, cols: int, nz: Iterable[dict]) -> "Matrix":
-    """Kernel outputs, unchecked: one dict a row, 0-based column -> nonzero Fraction."""
+    """Kernel outputs, unchecked: a {column: nonzero} dict per row, shared with no other matrix."""
     if rows < 1 or cols < 1:
         raise ShapeError("matrix dimensions must be positive")
     m = object.__new__(Matrix)
@@ -139,6 +152,12 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if (sel := _unit_rows(self._nz)) is not None:
+            return _matrix(self.rows, other.cols,
+                           ({} if k is None else other._nz[k].copy() for k in sel))
+        if (cols := _unit_rows(other._nz)) and len(set(cols) - {None}) == len(cols):
+            return _matrix(self.rows, other.cols,
+                           ({cols[k]: a for k, a in d.items()} for d in self._nz))
         # each row of other as integer numerators over the lcm of its
         # denominators; each output row then sums ints over one denominator
         b_rows = []
@@ -239,8 +258,7 @@ def permutation_matrix(image: Sequence[int]) -> Matrix:
 
 def is_permutation_matrix(a: Matrix) -> bool:
     # square, one nonzero per row equal to 1, and no column hit twice
-    return (a.rows == a.cols and all(len(d) == 1 and _ONE in d.values() for d in a._nz)
-            and len({c for d in a._nz for c in d}) == a.rows)
+    return a.rows == a.cols and len(set(_unit_rows(a._nz) or ()) - {None}) == a.rows
 
 
 @dataclass(frozen=True)
@@ -332,20 +350,21 @@ def assemble_blocks(grid: Sequence[Sequence[Matrix]]) -> Matrix:
                     for row in grid for r in range(row[0].rows)))
 
 
-def _strip_map(sa: Sequence[int], sb: Sequence[int], diagonal: bool):
+@lru_cache(maxsize=256)
+def _strip_map(sa: tuple[int, ...], sb: tuple[int, ...], diagonal: bool):
     """Product position of each (A index, B index) pair along one axis, and
-    the product's strip sizes.  Strip pairs (i, k) run with i outermost, and
-    so do the index pairs inside each (Tracy & Singh, 1972).  With
-    `diagonal` only the pairs i == k are kept; the others map to None."""
+    the product's strip sizes, as cached tuples.  Strip pairs (i, k) run with
+    i outermost, and so do the index pairs inside each (Tracy & Singh, 1972).
+    With `diagonal` only the pairs i == k are kept; the others map to None."""
     a_at = [(i, u) for i, p in enumerate(sa) for u in range(p)]
     b_at = [(k, v) for k, q in enumerate(sb) for v in range(q)]
     pairs = [(i, k) for i in range(len(sa)) for k in range(len(sb))
              if not diagonal or i == k]
     sizes = [sa[i] * sb[k] for i, k in pairs]
     start = dict(zip(pairs, accumulate(sizes, initial=0)))
-    pos = [[start[i, k] + u * sb[k] + v if (i, k) in start else None for k, v in b_at]
-           for i, u in a_at]
-    return pos, sizes
+    pos = tuple(tuple(start[i, k] + u * sb[k] + v if (i, k) in start else None
+                      for k, v in b_at) for i, u in a_at)
+    return pos, tuple(sizes)
 
 
 def _strip_product(a: PartitionedMatrix, b: PartitionedMatrix,
@@ -358,10 +377,9 @@ def _strip_product(a: PartitionedMatrix, b: PartitionedMatrix,
     for da, rp in zip(a.matrix._nz, rpos):
         for db, row in zip(b.matrix._nz, rp):
             if row is not None:
-                out[row].update({cpos[c][t]: x * y for c, x in da.items()
+                out[row].update({cpos[c][t]: _times(x, y) for c, x in da.items()
                                  for t, y in db.items() if cpos[c][t] is not None})
-    return PartitionedMatrix(_matrix(len(out), sum(csizes), out),
-                             BlockPartition(tuple(rsizes), tuple(csizes)))
+    return PartitionedMatrix(_matrix(len(out), sum(csizes), out), BlockPartition(rsizes, csizes))
 
 
 def tracy_singh(a: PartitionedMatrix, b: PartitionedMatrix) -> PartitionedMatrix:

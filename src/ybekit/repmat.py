@@ -12,15 +12,15 @@ therefore has, in column (i-1)n + j, a single 1 at row (u-1)n + v where
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, _function_matrix,
+from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, _function_matrix, _times,
                        commutation_matrix, identity, inverse, kronecker, tracy_singh)
 from .errors import ShapeError
 from .setsolutions import (SetSolution, _pair_map, axiom_failure, direct_product,
-                           index_to_pair, invert_table, pair_to_index)
+                           index_to_pair, invert_table, is_involutive, is_nondegenerate,
+                           pair_to_index)
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,23 @@ def ybe_check_scalar(c: Matrix, n: int) -> bool:
     _require_order(c, n * n)
     rng = range(1, n + 1)
     # nz[(i, j)]: the nonzero (k, l) targets of column (i-1)n + j, in order
-    nz = {index_to_pair(col, n): [(index_to_pair(row, n), v)
-                                  for row, v in enumerate(cells, start=1) if v]
-          for col, cells in enumerate(c.transpose().to_rows(), start=1)}
+    nz = {index_to_pair(col, n): [(index_to_pair(row + 1, n), v) for row, v in d.items()]
+          for col, d in enumerate(c.transpose()._nz, start=1)}
     for i, j, k in itertools.product(rng, repeat=3):
-        lhs: dict[tuple, Fraction] = defaultdict(Fraction)
+        lhs: dict[tuple, list[Fraction]] = {}
         for (p, q), v1 in nz[(i, j)]:
             for (y, o), v2 in nz[(q, k)]:
-                w = v1 * v2
+                w = _times(v1, v2)
                 for (l, m), v3 in nz[(p, y)]:
-                    lhs[(l, m, o)] += w * v3
-        rhs: dict[tuple, Fraction] = defaultdict(Fraction)
+                    lhs.setdefault((l, m, o), []).append(_times(w, v3))
+        rhs: dict[tuple, list[Fraction]] = {}
         for (q, r), v1 in nz[(j, k)]:
             for (l, y), v2 in nz[(i, q)]:
-                w = v1 * v2
+                w = _times(v1, v2)
                 for (m, o), v3 in nz[(y, r)]:
-                    rhs[(l, m, o)] += w * v3
-        if ({t: v for t, v in lhs.items() if v}
-                != {t: v for t, v in rhs.items() if v}):
+                    rhs.setdefault((l, m, o), []).append(_times(w, v3))
+        if ({t: v for t, ts in lhs.items() if (v := sum(ts[1:], ts[0]))}
+                != {t: v for t, ts in rhs.items() if (v := sum(ts[1:], ts[0]))}):
             return False
     return True
 
@@ -168,8 +167,8 @@ def conjugate_check(c: Matrix, p: Matrix, n: int) -> bool:
 
 def block_nonzero_position(s: SetSolution, i: int, j: int) -> BlockPosition:
     """Position of the single 1 inside block (i, j) of the representing
-    matrix of a non-degenerate involutive solution: inner row
-    sigma_i^{-1}(j), inner column sigma_j^{-1}(i).
+    matrix of a non-degenerate involutive solution (else ValueError): inner
+    row sigma_i^{-1}(j), inner column sigma_j^{-1}(i).
 
     Block (i, j) holds the pairs (j, y) that r sends to first component i,
     so y = sigma_j^{-1}(i) and the inner row is gamma_y(j); involutivity at
@@ -177,6 +176,9 @@ def block_nonzero_position(s: SetSolution, i: int, j: int) -> BlockPosition:
     """
     if not (1 <= i <= s.n and 1 <= j <= s.n):
         raise IndexError(f"block ({i},{j}) outside 1..{s.n}")
+    for name, check in (("nondegenerate", is_nondegenerate), ("involutive", is_involutive)):
+        if not (result := check(s)):
+            raise ValueError(f"solution is not {name}: witness={result.witness}")
     inner_row = invert_table(s.sigma[i - 1])[j - 1]
     inner_col = invert_table(s.sigma[j - 1])[i - 1]
     return BlockPosition(i, j, inner_row, inner_col)
@@ -193,7 +195,7 @@ def tracy_block_source(i: int, j: int, m: int) -> tuple[int, int, int, int]:
 
 def direct_rep_position(sx: SetSolution, sy: SetSolution, i: int, j: int) -> BlockPosition:
     """Position of the single 1 inside block (i, j) of the direct product's
-    representing matrix, computed from the factor tables alone."""
+    representing matrix, from the (gated) factor positions alone."""
     n, m = sx.n, sy.n
     if not (1 <= i <= n * m and 1 <= j <= n * m):
         raise IndexError(f"block ({i},{j}) outside 1..{n * m}")

@@ -19,6 +19,7 @@ from conftest import (
     sparse_square_matrices,
 )
 from ybekit.blockmat import (
+    _ONE,
     CSV_MAX_DIGITS,
     BlockPartition,
     Matrix,
@@ -37,6 +38,7 @@ from ybekit.blockmat import (
     permutation_matrix,
     tracy_singh,
     zeros,
+    _strip_map,
 )
 from ybekit.errors import ParseError, ShapeError, SingularMatrixError
 
@@ -652,21 +654,55 @@ def _naive_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
+UNIT_KINDS = ("identity", "permutation", "partial permutation", "map")
+
+
 @st.composite
-def sparse_partitioned(draw, part=None):
-    """A partitioned matrix with random strips and random sparsity, often
-    with an all-zero row and an all-zero column."""
+def sparse_partitioned(draw, part=None, kinds=("rationals", "unit entries") + UNIT_KINDS):
+    """A partitioned matrix with random strips, often square, of one kind:
+    random rationals of random sparsity, often with an all-zero row and an
+    all-zero column; entries drawn mostly from 1 and -1; a matrix with at
+    most one 1 a row and no column hit twice (identity, permutation, partial
+    permutation); or one 1 a row, columns hit any number of times (map, the
+    transpose of a function matrix).  Ones are ints or Fraction(1) through
+    `Matrix.from_rows`, the kernel's own from `permutation_matrix`,
+    `identity` and `@`, or fresh Fraction(1) objects from `+`."""
     if part is None:
         strips = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
-        part = BlockPartition(draw(strips), draw(strips))
+        row_strips = draw(strips)
+        part = BlockPartition(row_strips, draw(st.one_of(st.just(row_strips), strips)))
     rows, cols = sum(part.row_sizes), sum(part.col_sizes)
     rng = draw(st.randoms(use_true_random=False))
-    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
-    zero_row, zero_col = rng.randrange(rows + 1), rng.randrange(cols + 1)
-    cells = [[F(rng.randint(-5, 5), rng.randint(1, 7))
-              if rng.random() < density and r != zero_row and c != zero_col else F(0)
-              for c in range(cols)] for r in range(rows)]
-    return PartitionedMatrix(Matrix.from_rows(cells), part)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("rationals", "unit entries"):
+        density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+        zero_row, zero_col = rng.randrange(rows + 1), rng.randrange(cols + 1)
+        pool = [1, F(1), -1, 1, F(2, 3)]
+        cells = [[(F(rng.randint(-5, 5), rng.randint(1, 7)) if kind == "rationals"
+                   else rng.choice(pool))
+                  if rng.random() < density and r != zero_row and c != zero_col else F(0)
+                  for c in range(cols)] for r in range(rows)]
+        return PartitionedMatrix(Matrix.from_rows(cells), part)
+    # targets[r]: the column of row r's 1, or None for an empty row
+    targets = rng.sample(range(cols), min(rows, cols)) + [None] * (rows - cols)
+    rng.shuffle(targets)
+    if kind == "identity" and rows == cols:
+        targets = list(range(rows))
+    elif kind == "partial permutation":
+        targets = [t if rng.random() < 0.7 else None for t in targets]
+    elif kind == "map":
+        targets = [rng.randrange(cols) for _ in range(rows)]
+    one = draw(st.sampled_from([1, F(1)]))
+    cells = [[one if c == t else 0 for c in range(cols)] for t in targets]
+    build = draw(st.sampled_from(["from_rows", "kernel", "sum"]))
+    if build == "kernel" and rows == cols and set(targets) == set(range(cols)):
+        m = permutation_matrix([targets.index(c) + 1 for c in range(cols)])
+        m = identity(rows) @ m if kind == "identity" else m
+    elif build == "sum":
+        m = zeros(rows, cols) + Matrix.from_rows(cells)
+    else:
+        m = Matrix.from_rows(cells)
+    return PartitionedMatrix(m, part)
 
 
 def _same(result, naive):
@@ -723,6 +759,58 @@ def test_difference_with_itself_is_zeros(pa):
     assert a - a == zeros(a.rows, a.cols)
     assert hash(a - a) == hash(zeros(a.rows, a.cols))
     assert a + (-a) == zeros(a.rows, a.cols) == 0 * a
+
+
+def _naive_matmul(a, b):
+    return [[sum((x * y for x, y in zip(ra, col)), F(0)) for col in zip(*b)] for ra in a]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_unit_matmul_matches_general_path(data):
+    # `@` by a (partial) permutation moves rows; doubling the operand takes
+    # the integer path instead, and both must match the naive product
+    p = data.draw(sparse_partitioned(kinds=UNIT_KINDS)).matrix
+    general = ("rationals", "unit entries")
+    m = data.draw(sparse_partitioned(BlockPartition((p.cols,), (2, 1)), general)).matrix
+    n = data.draw(sparse_partitioned(BlockPartition((1, 2), (p.rows,)), general)).matrix
+    half = F(1, 2)
+    assert p @ m == half * ((2 * p) @ m)
+    assert n @ p == half * (n @ (2 * p))
+    _same(p @ m, _naive_matmul(p.to_rows(), m.to_rows()))
+    _same(n @ p, _naive_matmul(n.to_rows(), p.to_rows()))
+    _same(p @ p.transpose(), _naive_matmul(p.to_rows(), p.transpose().to_rows()))
+
+
+def test_unit_paths_leave_operands_unchanged():
+    rng = random.Random(19)
+    m = random_invertible(rng, 4)
+    p = permutation_matrix((3, 1, 4, 2))
+    before = [(x.to_rows(), hash(x)) for x in (m, p)]
+    left, right = p @ m, m @ p
+    tracy_singh(PartitionedMatrix.uniform(left, 2, 2), PartitionedMatrix.uniform(right, 2, 2))
+    tracy_singh(PartitionedMatrix.single(p), PartitionedMatrix.uniform(left, 2, 2))
+    inverse(left), inverse(right), inverse(p @ p)
+    assert [(x.to_rows(), hash(x)) for x in (m, p)] == before
+    assert left == rows(_naive_matmul(p.to_rows(), m.to_rows()))
+    assert not {id(d) for d in left._nz + right._nz} & {id(d) for d in m._nz + p._nz}
+
+
+def test_ones_from_outside_are_the_kernel_one():
+    # the unit fast paths test identity with the kernel's one
+    for m in [rows([[1, F(1)], ["1", F(3, 3)]]), parse_matrix_csv("1,2/2\n0,1\n")[0]]:
+        assert all(v is _ONE for d in m._nz for v in d.values())
+
+
+def test_strip_map_is_cached_and_immutable():
+    pos, sizes = _strip_map((2, 1), (1, 2), False)
+    assert _strip_map((2, 1), (1, 2), False) == (pos, sizes)
+    assert sizes == (2, 4, 1, 2)
+    with pytest.raises(TypeError):
+        pos[0][0] = 0
+    with pytest.raises(TypeError):
+        pos[0] = ()
+    assert _strip_map((2, 1), (1, 2), True)[1] == (2, 2)
 
 
 def test_matmul_with_large_coprime_denominators_is_exact():

@@ -297,6 +297,21 @@ def test_block_nonzero_position_matches_scan(sols2, sols3, sols4):
                 assert (pos.inner_row, pos.inner_col) == _scan_block(m, s.n, i, j)
 
 
+def test_block_positions_refuse_non_involutive_and_degenerate_tables():
+    ident = ((1, 2, 3),) * 3
+    # sigma_x = (2 3 1), gamma_y = id: non-degenerate, not involutive at (1, 1)
+    non_involutive = SetSolution(3, ((2, 3, 1),) * 3, ident)
+    degenerate = SetSolution(3, ((1, 1, 2),) + ident[1:], ident)
+    for s, message in [(non_involutive, "solution is not involutive: witness=(1, 1)"),
+                       (degenerate, "solution is not nondegenerate: witness=('sigma', 1)")]:
+        for call in [lambda: block_nonzero_position(s, 1, 1),
+                     lambda: direct_rep_position(s, swap_solution(), 1, 1),
+                     lambda: direct_rep_position(swap_solution(), s, 1, 1)]:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
 def test_direct_rep_position_frozen():
     pos = direct_rep_position(trivial_solution(2), swap_solution(), 2, 1)
     assert (pos.block_row, pos.block_col) == (2, 1)
