@@ -182,8 +182,17 @@ def zeros(rows: int, cols: int) -> Matrix:
     return _matrix(rows, cols, ({} for _ in range(rows)))
 
 
+def _function_matrix(targets: Sequence[int]) -> Matrix:
+    """0/1 matrix of a map on 0..n-1: column i has its single 1 at row
+    targets[i]."""
+    rows = [{} for _ in targets]
+    for i, t in enumerate(targets):
+        rows[t][i] = _ONE
+    return _matrix(len(rows), len(rows), rows)
+
+
 def identity(n: int) -> Matrix:
-    return _matrix(n, n, ({i: _ONE} for i in range(n)))
+    return _function_matrix(range(n))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -236,17 +245,7 @@ def commutation_matrix(m: int, n: int) -> Matrix:
     (i-1)n + j."""
     if m < 1 or n < 1:
         raise ShapeError("commutation matrix orders must be positive")
-    return _matrix(m * n, m * n, ({(j - 1) * m + i - 1: _ONE}
-                                  for i in range(1, m + 1) for j in range(1, n + 1)))
-
-
-def _function_matrix(targets: Sequence[int]) -> Matrix:
-    """0/1 matrix of a map on 0..n-1: column i has its single 1 at row
-    targets[i]."""
-    rows = [{} for _ in targets]
-    for i, t in enumerate(targets):
-        rows[t][i] = _ONE
-    return _matrix(len(rows), len(rows), rows)
+    return _function_matrix([(c % m) * n + c // m for c in range(m * n)])
 
 
 def permutation_matrix(image: Sequence[int]) -> Matrix:

@@ -87,11 +87,10 @@ def _cmd_check(args) -> int:
 def _cmd_repmat(args) -> int:
     s = _load_solution(args.solution)
     _require_output_cells(s.n ** 2, s.n ** 2)
-    try:
-        rep = representing_matrix(s)
-    except ValueError as exc:       # the axiom gate's failure, with its witness
-        print(exc, file=sys.stderr)
+    if (failure := axiom_failure(s)) is not None:
+        print("solution is not {}: witness={}".format(*failure), file=sys.stderr)
         return 1
+    rep = representing_matrix(s)
     matrix = rep.matrix
     if args.flip:
         matrix = compose_flip(matrix, s.n, "left")

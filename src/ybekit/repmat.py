@@ -4,7 +4,7 @@ verifier tying the blockwise Kronecker product to the direct product of
 solutions.
 
 Tensor bases are ordered lexicographically: the basis vector e_i (x) e_j of
-V (x) V sits at flattened position (i-1)n + j.  A solution's matrix
+V (x) V sits at flattened position (i-1)n + j.  The matrix of any map r
 therefore has, in column (i-1)n + j, a single 1 at row (u-1)n + v where
 (u, v) = r(i, j).
 """
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, _function_matrix, _times,
+from .blockmat import (Matrix, PartitionedMatrix, _function_matrix, _times,
                        commutation_matrix, identity, inverse, kronecker, tracy_singh)
 from .errors import ShapeError
 from .setsolutions import (SetSolution, _pair_map, axiom_failure, direct_product,
@@ -48,17 +48,12 @@ class TheoremAResult:
         return f"THEOREM_A FAIL at ({self.witness[0]},{self.witness[1]})"
 
 
-def representing_matrix(s: SetSolution, check: bool = True) -> PartitionedMatrix:
+def representing_matrix(s: SetSolution) -> PartitionedMatrix:
     """0/1 matrix sending e_i (x) e_j to e_u (x) e_v with (u, v) = r(i, j),
     cut into an n x n grid of order-n blocks: column (i-1)n + j has its 1
-    at row (u-1)n + v.  It is a permutation matrix exactly when r is a
-    bijection; with check=False it is built for any map."""
-    if check and (failure := axiom_failure(s)) is not None:
-        name, witness = failure
-        raise ValueError(f"solution is not {name}: witness={witness}")
-    n = s.n
-    return PartitionedMatrix(_function_matrix(_pair_map(s)),
-                             BlockPartition((n,) * n, (n,) * n))
+    at row (u-1)n + v.  Built for any map, it is a permutation matrix exactly
+    when r is a bijection; requiring a solution is the caller's job."""
+    return PartitionedMatrix.uniform(_function_matrix(_pair_map(s)), s.n, s.n)
 
 
 def _require_order(c: Matrix, order: int) -> None:
@@ -212,12 +207,15 @@ def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> Th
     product solution.
 
     Both sides are assembled positionally from the same four table families,
-    so the equality holds for any maps, bijective or not.  The axiom checks
-    (check=True) are what tie the statement to genuine solutions.  The
+    so the equality holds for any maps, bijective or not.  With check=True,
+    sx, sy and their direct product must pass axiom_failure in turn (else
+    ValueError), which ties the statement to genuine solutions.  The
     mismatch branch guards against regressions in either construction."""
-    c = representing_matrix(sx, check=check)
-    d = representing_matrix(sy, check=check)
-    e = representing_matrix(direct_product(sx, sy), check=check)
+    sxy = direct_product(sx, sy)
+    for s in (sx, sy, sxy) if check else ():
+        if (failure := axiom_failure(s)) is not None:
+            raise ValueError("solution is not {}: witness={}".format(*failure))
+    c, d, e = map(representing_matrix, (sx, sy, sxy))
     em, pm = e.matrix, tracy_singh(c, d).matrix
     if em == pm:
         return TheoremAResult(True, sx.n, sy.n)

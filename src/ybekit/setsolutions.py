@@ -306,20 +306,21 @@ def isomorphic_set(sa: SetSolution, sb: SetSolution) -> Permutation | None:
     # (x, y) with r_a(x, y) = (u, v), by the last point among the four
     quads = [(x, y, *apply_r(sa, x, y)) for x, y in itertools.product(rng, repeat=2)]
     checks = [[q for q in quads if max(q) == x] for x in range(sa.n + 1)]
-    return next(_relabelings(sb, options, checks, [0] * (sa.n + 1), 1), None)
+    return _first_relabeling(sb, options, checks, [0] * (sa.n + 1), 1)
 
 
-def _relabelings(sb, options, checks, image, x):
-    """In lexicographic order, each mu extending image[1..x-1] (image[0] pads)."""
+def _first_relabeling(sb, options, checks, image, x):
+    """The lexicographically first mu extending image[1..x-1] (image[0] pads), or None."""
     if x == len(image):
-        yield Permutation(image[1:])
-        return
+        return Permutation(image[1:])
     for v in sorted(set(options[x - 1]).difference(image)):
         image[x] = v
-        if all(apply_r(sb, image[p], image[q]) == (image[u], image[w])
-               for p, q, u, w in checks[x]):
-            yield from _relabelings(sb, options, checks, image, x + 1)
+        if (all(apply_r(sb, image[p], image[q]) == (image[u], image[w])
+                for p, q, u, w in checks[x])
+                and (mu := _first_relabeling(sb, options, checks, image, x + 1))):
+            return mu
     image[x] = 0
+    return None
 
 
 def _orbit_sizes(table) -> tuple[int, ...]:
@@ -343,6 +344,8 @@ def solution_from_json(text: str) -> SetSolution:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("bad JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("solution document must be a JSON object")
     for key in ("n", "sigma", "gamma"):

@@ -1,8 +1,11 @@
 """Command line surface: outputs, exit codes, determinism."""
 
+import ast
 import json
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,9 @@ def test_check_bad_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["check", path])
     assert code == 2
     assert "error:" in err
+    deep = put(tmp_path, "deep.json", "[" * 1101)
+    code, out, err = run(capsys, ["check", deep])
+    assert (code, out, err) == (2, "", "error: bad JSON: nested too deeply\n")
 
 
 def test_repmat_trivial(tmp_path, capsys):
@@ -413,3 +419,23 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_package_imports_only_the_standard_library():
+    # the package declares no runtime dependencies: every absolute import in
+    # src/ybekit names a standard-library module or the package itself
+    import ybekit
+
+    allowed = set(sys.stdlib_module_names) | {"ybekit"}
+    sources = sorted(Path(ybekit.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

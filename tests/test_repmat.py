@@ -107,12 +107,12 @@ def test_representing_matrix_trivial_is_flip():
 
 
 def test_representing_matrix_rejects_non_solutions():
+    # the matrix is built for any map; the verifier is what requires a solution
     cyc = SetSolution(3, ((2, 3, 1),) * 3, ((1, 2, 3),) * 3)
-    with pytest.raises(ValueError, match=r"^solution is not involutive: witness=\(1, 1\)$"):
-        representing_matrix(cyc)
-    # the bypass keeps the raw column rule available for negative controls
-    rep = representing_matrix(cyc, check=False)
-    assert is_permutation_matrix(rep.matrix)
+    assert is_permutation_matrix(representing_matrix(cyc).matrix)
+    for pair in ((cyc, trivial_solution(2)), (trivial_solution(2), cyc)):
+        with pytest.raises(ValueError, match=r"^solution is not involutive: witness=\(1, 1\)$"):
+            verify_theorem_a(*pair)
 
 
 @given(set_maps())
@@ -126,7 +126,7 @@ def test_representing_matrix_matches_naive_columns(s):
         for j in range(1, n + 1):
             u, v = apply_r(s, i, j)
             targets.append((u - 1) * n + v)
-    m = representing_matrix(s, check=False).matrix
+    m = representing_matrix(s).matrix
     for col, row in enumerate(targets, start=1):
         assert [m.entry(r, col) for r in range(1, n * n + 1)] == [
             int(r == row) for r in range(1, n * n + 1)]
@@ -136,7 +136,7 @@ def test_representing_matrix_matches_naive_columns(s):
 @settings(deadline=None, max_examples=150)
 def test_representing_matrix_is_permutation_iff_bijective(s):
     r = _pair_map(s)
-    assert (is_permutation_matrix(representing_matrix(s, check=False).matrix)
+    assert (is_permutation_matrix(representing_matrix(s).matrix)
             == (sorted(r) == list(range(s.n * s.n))))
 
 
@@ -413,6 +413,17 @@ def test_verify_theorem_a_reports_corrupted_product(monkeypatch):
     assert not res.ok
     assert res.witness == (2, 5, Fraction(0), Fraction(1))
     assert res.verdict_line() == "THEOREM_A FAIL at (2,5)"
+
+
+def test_verify_theorem_a_gates_the_direct_product(monkeypatch):
+    # fault injection: both factors pass, but the product handed to the gate
+    # is the non-involutive sigma_x = (2 3 1), gamma_y = id
+    import ybekit.repmat
+
+    cyc = SetSolution(3, ((2, 3, 1),) * 3, ((1, 2, 3),) * 3)
+    monkeypatch.setattr(ybekit.repmat, "direct_product", lambda sx, sy: cyc)
+    with pytest.raises(ValueError, match=r"^solution is not involutive: witness=\(1, 1\)$"):
+        verify_theorem_a(trivial_solution(2), swap_solution())
 
 
 def test_theorem_a_fail_verdict_plumbing():

@@ -515,6 +515,7 @@ def test_json_parse_errors():
         '{"n": 2, "sigma": [[1, true], [1, 2]], "gamma": [[1, 2], [1, 2]]}',
         '{"n": 2, "sigma": [[1, 2.0], [1, 2]], "gamma": [[1, 2], [1, 2]]}',
         '[1, 2]',
+        "[" * 100_000,
     ]
     for text in bad:
         with pytest.raises(ParseError):
