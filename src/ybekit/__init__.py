@@ -2,13 +2,13 @@
 with desk-scale verifiers tying the two together."""
 
 from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, Scalar,
-                       assemble_blocks, commutation_matrix, format_matrix_csv,
-                       hadamard, identity, inverse, is_permutation_matrix,
-                       khatri_rao, kronecker, parse_matrix_csv,
-                       parse_partitioned_csv, permutation_matrix, tracy_singh)
+                       commutation_matrix, format_matrix_csv, hadamard,
+                       identity, inverse, is_permutation_matrix, khatri_rao,
+                       kronecker, parse_matrix_csv, parse_partitioned_csv,
+                       permutation_matrix, tracy_singh)
 from .enumeration import (EnumerationConfig, EnumerationLimitError,
                           dedupe_up_to_iso, enumerate_solutions, iso_classes)
-from .errors import ParseError, ShapeError, SingularMatrixError
+from .errors import AxiomError, ParseError, ShapeError, SingularMatrixError
 from .repmat import (BlockPosition, TheoremAResult, block_nonzero_position,
                      compose_flip, conjugate_check, direct_rep_position,
                      embed_on_factors, flip_matrix, qybe_check, representing_matrix,

@@ -322,31 +322,8 @@ class PartitionedMatrix:
         return _matrix(h, w, ({c - c0: v for c, v in d.items() if c0 <= c < c0 + w}
                               for d in self.matrix._nz[r0:r0 + h]))
 
-    def block_grid(self) -> list[list[Matrix]]:
-        return [[self.block(i, j) for j in range(1, self.n_block_cols + 1)]
-                for i in range(1, self.n_block_rows + 1)]
-
     def transpose(self) -> "PartitionedMatrix":
         return PartitionedMatrix(self.matrix.transpose(), self.partition.transpose())
-
-
-def assemble_blocks(grid: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Stitch a rectangular grid of blocks back into one matrix."""
-    if not grid or not grid[0]:
-        raise ShapeError("empty block grid")
-    heights = [row[0].rows for row in grid]
-    widths = [blk.cols for blk in grid[0]]
-    for row in grid:
-        if len(row) != len(widths):
-            raise ShapeError("ragged block grid")
-        if any(blk.rows != row[0].rows for blk in row):
-            raise ShapeError("blocks in one grid row have unequal heights")
-        if any(blk.cols != w for blk, w in zip(row, widths)):
-            raise ShapeError("blocks in one grid column have unequal widths")
-    offsets = list(accumulate(widths[:-1], initial=0))
-    return _matrix(sum(heights), sum(widths),
-                   ({o + c: v for blk, o in zip(row, offsets) for c, v in blk._nz[r].items()}
-                    for row in grid for r in range(row[0].rows)))
 
 
 @lru_cache(maxsize=256)

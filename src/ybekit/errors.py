@@ -11,3 +11,12 @@ class SingularMatrixError(ValueError):
 
 class ParseError(ValueError):
     """A matrix CSV or solution JSON document is malformed."""
+
+
+class AxiomError(ValueError):
+    """A table failed a solution axiom: `name` is the first axiom it fails,
+    `witness` that check's first failing point and `solution` the table."""
+
+    def __init__(self, name: str, witness: tuple, solution):
+        super().__init__(f"solution is not {name}: witness={witness}")
+        self.name, self.witness, self.solution = name, witness, solution

@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .blockmat import (Matrix, PartitionedMatrix, _function_matrix, _times,
                        commutation_matrix, identity, inverse, kronecker, tracy_singh)
 from .errors import ShapeError
-from .setsolutions import (SetSolution, _pair_map, axiom_failure, direct_product,
-                           index_to_pair, invert_table, is_involutive, is_nondegenerate,
-                           pair_to_index)
+from .setsolutions import (MapTable, SetSolution, _pair_map, axiom_failure,
+                           direct_product, index_to_pair, invert_table, pair_to_index)
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,21 @@ def conjugate_check(c: Matrix, p: Matrix, n: int) -> bool:
     return ybe_check_matrix(inverse(p) @ c @ p, n)
 
 
+@lru_cache(maxsize=256)
+def _sigma_inverses(s: SetSolution) -> tuple[MapTable, ...]:
+    """The inverse sigma tables of s once s passes axiom_failure (else its
+    AxiomError).  Cached per solution, so a scan over the n^2 blocks gates
+    once; an exception is not cached, so a refusal repeats on every call."""
+    if (failure := axiom_failure(s)) is not None:
+        raise failure
+    return tuple(map(invert_table, s.sigma))
+
+
 def block_nonzero_position(s: SetSolution, i: int, j: int) -> BlockPosition:
     """Position of the single 1 inside block (i, j) of the representing
-    matrix of a non-degenerate involutive solution (else ValueError): inner
-    row sigma_i^{-1}(j), inner column sigma_j^{-1}(i).
+    matrix of a non-degenerate involutive braided solution (else the
+    AxiomError of axiom_failure): inner row sigma_i^{-1}(j), inner column
+    sigma_j^{-1}(i).
 
     Block (i, j) holds the pairs (j, y) that r sends to first component i,
     so y = sigma_j^{-1}(i) and the inner row is gamma_y(j); involutivity at
@@ -171,12 +182,8 @@ def block_nonzero_position(s: SetSolution, i: int, j: int) -> BlockPosition:
     """
     if not (1 <= i <= s.n and 1 <= j <= s.n):
         raise IndexError(f"block ({i},{j}) outside 1..{s.n}")
-    for name, check in (("nondegenerate", is_nondegenerate), ("involutive", is_involutive)):
-        if not (result := check(s)):
-            raise ValueError(f"solution is not {name}: witness={result.witness}")
-    inner_row = invert_table(s.sigma[i - 1])[j - 1]
-    inner_col = invert_table(s.sigma[j - 1])[i - 1]
-    return BlockPosition(i, j, inner_row, inner_col)
+    inv = _sigma_inverses(s)
+    return BlockPosition(i, j, inv[i - 1][j - 1], inv[j - 1][i - 1])
 
 
 def tracy_block_source(i: int, j: int, m: int) -> tuple[int, int, int, int]:
@@ -190,7 +197,8 @@ def tracy_block_source(i: int, j: int, m: int) -> tuple[int, int, int, int]:
 
 def direct_rep_position(sx: SetSolution, sy: SetSolution, i: int, j: int) -> BlockPosition:
     """Position of the single 1 inside block (i, j) of the direct product's
-    representing matrix, from the (gated) factor positions alone."""
+    representing matrix, from the factor positions alone; each factor must
+    pass block_nonzero_position's gate (else AxiomError)."""
     n, m = sx.n, sy.n
     if not (1 <= i <= n * m and 1 <= j <= n * m):
         raise IndexError(f"block ({i},{j}) outside 1..{n * m}")
@@ -208,13 +216,14 @@ def verify_theorem_a(sx: SetSolution, sy: SetSolution, check: bool = True) -> Th
 
     Both sides are assembled positionally from the same four table families,
     so the equality holds for any maps, bijective or not.  With check=True,
-    sx, sy and their direct product must pass axiom_failure in turn (else
-    ValueError), which ties the statement to genuine solutions.  The
-    mismatch branch guards against regressions in either construction."""
+    sx, sy and their direct product must pass axiom_failure in turn, whose
+    AxiomError is raised at the first failure; that ties the statement to
+    genuine solutions.  The mismatch branch guards against regressions in
+    either construction."""
     sxy = direct_product(sx, sy)
     for s in (sx, sy, sxy) if check else ():
         if (failure := axiom_failure(s)) is not None:
-            raise ValueError("solution is not {}: witness={}".format(*failure))
+            raise failure
     c, d, e = map(representing_matrix, (sx, sy, sxy))
     em, pm = e.matrix, tracy_singh(c, d).matrix
     if em == pm:

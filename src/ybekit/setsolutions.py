@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import AxiomError, ParseError
 
 MapTable = tuple[int, ...]
 
@@ -248,16 +248,17 @@ def check_solution(s: SetSolution) -> CheckReport:
     )
 
 
-def axiom_failure(s: SetSolution) -> tuple[str, tuple] | None:
-    """The first solution axiom s fails, as (name, witness), checking
-    nondegenerate, then involutive, then braided; None when s is a
-    non-degenerate involutive braided solution."""
+def axiom_failure(s: SetSolution) -> AxiomError | None:
+    """The first solution axiom s fails, as an unraised AxiomError naming
+    the axiom, its witness and s, checking nondegenerate, then involutive,
+    then braided; None when s is a non-degenerate involutive braided
+    solution.  Every refusal of a non-solution raises or prints this object."""
     for name, check in (("nondegenerate", is_nondegenerate),
                         ("involutive", is_involutive),
                         ("braided", is_braided)):
         result = check(s)
         if not result:
-            return name, result.witness
+            return AxiomError(name, result.witness, s)
     return None
 
 

@@ -27,6 +27,15 @@ def cycle_solution3() -> SetSolution:
     return SetSolution(3, ((2, 3, 1),) * 3, ((3, 1, 2),) * 3)
 
 
+# frozen by an exhaustive search over all n=3 table assignments:
+# nondegenerate and involutive, yet the braid identities fail at (1,1,2)
+NOT_BRAIDED = SetSolution(
+    3,
+    ((1, 3, 2), (1, 3, 2), (2, 3, 1)),
+    ((1, 3, 2), (3, 1, 2), (1, 3, 2)),
+)
+
+
 @st.composite
 def set_maps(draw, max_n: int = 4) -> SetSolution:
     """Tables of a map r on {1..n}, n <= max_n, drawn as r on the n*n pairs:

@@ -24,7 +24,6 @@ from ybekit.blockmat import (
     BlockPartition,
     Matrix,
     PartitionedMatrix,
-    assemble_blocks,
     commutation_matrix,
     format_matrix_csv,
     hadamard,
@@ -334,25 +333,6 @@ def test_block_extraction_frozen():
         a.block(3, 1)
     with pytest.raises(IndexError):
         a.block(1, 0)
-
-
-def test_block_grid_reassembles():
-    rng = random.Random(17)
-    for _ in range(5):
-        pm = random_partitioned(rng, random_sizes(rng), random_sizes(rng))
-        rebuilt = assemble_blocks(pm.block_grid())
-        assert rebuilt == pm.matrix
-
-
-def test_assemble_blocks_errors():
-    with pytest.raises(ShapeError):
-        assemble_blocks([])
-    with pytest.raises(ShapeError):
-        assemble_blocks([[identity(2), identity(2)], [identity(2)]])
-    with pytest.raises(ShapeError):
-        assemble_blocks([[identity(2), identity(3)]])
-    with pytest.raises(ShapeError, match=r"^blocks in one grid column have unequal widths$"):
-        assemble_blocks([[identity(2)], [zeros(2, 3)]])
 
 
 def test_tracy_singh_single_blocks_is_kronecker():

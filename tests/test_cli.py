@@ -12,7 +12,7 @@ import pytest
 from conftest import sample_a, sample_b, swap_solution, trivial_solution
 from ybekit.blockmat import format_matrix_csv, parse_partitioned_csv, tracy_singh
 from ybekit.cli import main
-from ybekit.setsolutions import direct_product, solution_to_json
+from ybekit.setsolutions import SetSolution, direct_product, solution_to_json
 
 TRIVIAL_JSON = solution_to_json(trivial_solution(2))
 SWAP_JSON = solution_to_json(swap_solution())
@@ -194,10 +194,10 @@ def test_repmat_flip(tmp_path, capsys):
 
 def test_repmat_rejects_non_solution(tmp_path, capsys):
     path = put(tmp_path, "s.json", NOT_INVOLUTIVE_JSON)
-    code, _, err = run(capsys, ["repmat", path])
+    code, out, err = run(capsys, ["repmat", path])
     assert code == 1
-    assert "not involutive" in err
-    assert "witness=(1, 1)" in err
+    assert out == ""
+    assert err == "solution is not involutive: witness=(1, 1)\n"
 
 
 def test_repmat_output_in_missing_dir_exits_2(tmp_path, capsys):
@@ -243,8 +243,22 @@ def test_verify_theorem_a_gates_corrupted_file(tmp_path, capsys):
     y = put(tmp_path, "y.json", NOT_INVOLUTIVE_JSON)
     code, out, _ = run(capsys, ["verify-theorem-a", x, y])
     assert code == 1
-    assert "solution is not involutive" in out
-    assert "witness=(1, 1)" in out
+    assert out == f"{y}: solution is not involutive: witness=(1, 1)\n"
+
+
+def test_verify_theorem_a_gates_the_direct_product(tmp_path, capsys, monkeypatch):
+    # fault injection: both files pass, but the product handed to the gate
+    # is the non-involutive sigma_x = (2 3 1), gamma_y = id
+    import ybekit.repmat
+
+    cyc = SetSolution(3, ((2, 3, 1),) * 3, ((1, 2, 3),) * 3)
+    monkeypatch.setattr(ybekit.repmat, "direct_product", lambda sx, sy: cyc)
+    x = put(tmp_path, "x.json", TRIVIAL_JSON)
+    y = put(tmp_path, "y.json", SWAP_JSON)
+    code, out, err = run(capsys, ["verify-theorem-a", x, y])
+    assert code == 1
+    assert out == "direct product: solution is not involutive: witness=(1, 1)\n"
+    assert err == ""
 
 
 def test_verify_theorem_a_skip_checks_still_structural(tmp_path, capsys):
@@ -439,3 +453,16 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_refusal_text_is_written_once():
+    # every refusal of a non-solution is an AxiomError, whose constructor is
+    # the one place in src/ybekit that writes its message
+    import ybekit
+
+    sources = sorted(Path(ybekit.__file__).parent.glob("*.py"))
+    assert sources
+    counts = {path.name: path.read_text(encoding="utf-8").count("solution is not")
+              for path in sources}
+    assert sum(counts.values()) == 1, counts
+    assert counts["errors.py"] == 1

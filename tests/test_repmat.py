@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    NOT_BRAIDED,
     cycle_solution3,
     random_matrix,
     set_maps,
@@ -302,8 +303,10 @@ def test_block_positions_refuse_non_involutive_and_degenerate_tables():
     # sigma_x = (2 3 1), gamma_y = id: non-degenerate, not involutive at (1, 1)
     non_involutive = SetSolution(3, ((2, 3, 1),) * 3, ident)
     degenerate = SetSolution(3, ((1, 1, 2),) + ident[1:], ident)
+    # one gate for every caller: the positions also require the braid relation
     for s, message in [(non_involutive, "solution is not involutive: witness=(1, 1)"),
-                       (degenerate, "solution is not nondegenerate: witness=('sigma', 1)")]:
+                       (degenerate, "solution is not nondegenerate: witness=('sigma', 1)"),
+                       (NOT_BRAIDED, "solution is not braided: witness=(1, 1, 2)")]:
         for call in [lambda: block_nonzero_position(s, 1, 1),
                      lambda: direct_rep_position(s, swap_solution(), 1, 1),
                      lambda: direct_rep_position(swap_solution(), s, 1, 1)]:

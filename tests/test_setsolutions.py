@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybekit.setsolutions
-from conftest import cycle_solution3, set_maps, swap_solution, trivial_solution
-from ybekit.errors import ParseError
+from conftest import NOT_BRAIDED, cycle_solution3, set_maps, swap_solution, trivial_solution
+from ybekit.errors import AxiomError, ParseError
 from ybekit.setsolutions import (
     CheckResult,
     Permutation,
@@ -33,14 +33,6 @@ from ybekit.setsolutions import (
     pair_to_index,
     solution_from_json,
     solution_to_json,
-)
-
-# frozen by an exhaustive search over all n=3 table assignments:
-# nondegenerate and involutive, yet the braid identities fail at (1,1,2)
-NOT_BRAIDED = SetSolution(
-    3,
-    ((1, 3, 2), (1, 3, 2), (2, 3, 1)),
-    ((1, 3, 2), (3, 1, 2), (1, 3, 2)),
 )
 
 # braided and nondegenerate but not involutive; r squared moves (1,3)
@@ -208,12 +200,16 @@ def test_braid_cross_check_fires_on_a_corrupted_witness(monkeypatch):
 def test_axiom_failure_first_in_order():
     assert axiom_failure(swap_solution()) is None
     assert axiom_failure(cycle_solution3()) is None
-    assert axiom_failure(NOT_BRAIDED) == ("braided", (1, 1, 2))
-    assert axiom_failure(NOT_INVOLUTIVE) == ("involutive", (1, 3))
     # degenerate and not involutive: the earlier axiom is the one reported
     degenerate = SetSolution(2, ((1, 1), (1, 2)), ((1, 2), (1, 2)))
     assert not is_involutive(degenerate)
-    assert axiom_failure(degenerate) == ("nondegenerate", ("sigma", 1))
+    for s, name, witness in [(NOT_BRAIDED, "braided", (1, 1, 2)),
+                             (NOT_INVOLUTIVE, "involutive", (1, 3)),
+                             (degenerate, "nondegenerate", ("sigma", 1))]:
+        f = axiom_failure(s)
+        assert isinstance(f, AxiomError)
+        assert f.name == name and f.witness == witness
+        assert f.solution is s
 
 
 def test_is_square_free():
