@@ -1,7 +1,7 @@
 """Exact partitioned-matrix products and set-theoretic braided solutions,
 with desk-scale verifiers tying the two together."""
 
-from .blockmat import (BlockPartition, Matrix, PartitionedMatrix, Scalar,
+from .blockmat import (BlockPartition, Matrix, PartitionedMatrix,
                        commutation_matrix, format_matrix_csv, hadamard,
                        identity, inverse, is_permutation_matrix, khatri_rao,
                        kronecker, parse_matrix_csv, parse_partitioned_csv,

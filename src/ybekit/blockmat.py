@@ -24,9 +24,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import ParseError, ShapeError, SingularMatrixError
-
-Scalar = Fraction
+from .errors import ParseError, ShapeError, SingularMatrixError, require_ints
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -268,8 +266,9 @@ class BlockPartition:
     col_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "row_sizes", tuple(int(s) for s in self.row_sizes))
-        object.__setattr__(self, "col_sizes", tuple(int(s) for s in self.col_sizes))
+        object.__setattr__(self, "row_sizes", tuple(self.row_sizes))
+        object.__setattr__(self, "col_sizes", tuple(self.col_sizes))
+        require_ints(self.row_sizes + self.col_sizes, "partition strip sizes must be integers")
         if not self.row_sizes or not self.col_sizes:
             raise ShapeError("a partition needs at least one row and one column strip")
         if any(s < 1 for s in self.row_sizes) or any(s < 1 for s in self.col_sizes):
@@ -422,7 +421,7 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
         try:
             partition = BlockPartition(tuple(int(s) for s in m.group(1).split(",")),
                                        tuple(int(s) for s in m.group(2).split(",")))
-        except (ValueError, ShapeError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad partition header: {exc}") from exc
     if not lines:
         raise ParseError("no matrix rows found")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -73,7 +72,9 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = check_solution(_load_solution(args.solution))
+    s = _load_solution(args.solution)
+    _require_output_cells(s.n ** 2, s.n ** 2)      # the bound repmat applies
+    report = check_solution(s)
     for field in dataclasses.fields(CheckReport):
         result = getattr(report, field.name)
         line = f"{field.name}: {'true' if result.ok else 'false'}"
@@ -99,7 +100,10 @@ def _cmd_repmat(args) -> int:
 
 
 def _cmd_direct_product(args) -> int:
-    product = direct_product(_load_solution(args.x), _load_solution(args.y))
+    sx = _load_solution(args.x)
+    sy = _load_solution(args.y)
+    _require_output_cells(sx.n * sy.n, sx.n * sy.n)     # the product's sigma table
+    product = direct_product(sx, sy)
     _emit(solution_to_json(product) + "\n", args.output)
     return 0
 
@@ -107,6 +111,7 @@ def _cmd_direct_product(args) -> int:
 def _cmd_verify_theorem_a(args) -> int:
     sx = _load_solution(args.x)
     sy = _load_solution(args.y)
+    _require_output_cells((sx.n * sy.n) ** 2, (sx.n * sy.n) ** 2)     # the product's repmat bound
     try:
         result = verify_theorem_a(sx, sy, check=not args.skip_checks)
     except AxiomError as exc:
@@ -120,13 +125,8 @@ def _cmd_verify_theorem_a(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    raw_max_n = os.environ.get("YBEKIT_MAX_N", "4")     # no other command reads it
     try:
-        max_n = int(raw_max_n) if args.max_n is None else args.max_n
-    except ValueError as exc:
-        raise ParseError(f"YBEKIT_MAX_N must be an integer, got {raw_max_n!r}") from exc
-    try:
-        cfg = EnumerationConfig(n=args.n, limit=args.limit, max_n=max_n)
+        cfg = EnumerationConfig(n=args.n, limit=args.limit, max_n=args.max_n)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     out_dir = None if args.out_dir is None else Path(args.out_dir)
@@ -134,7 +134,7 @@ def _cmd_enumerate(args) -> int:
                                 or any(out_dir.glob("class_*.json"))):
         raise ParseError(f"{out_dir} already holds solution_*.json or class_*.json files")
     sols = enumerate_solutions(cfg)
-    classes = iso_classes(sols) if (args.dedupe and sols) else None
+    classes = iso_classes(sols) if args.dedupe else None
     emitted = [cls[0] for cls in classes] if classes is not None else sols
     stem = "class" if classes is not None else "solution"
     if out_dir is not None:
@@ -157,8 +157,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_isomorphic(args) -> int:
     sa = _load_solution(args.a)
     sb = _load_solution(args.b)
-    if sa.n != sb.n:
-        raise ShapeError(f"solutions have different sizes: {sa.n} and {sb.n}")
     mu = isomorphic_set(sa, sb)
     if mu is None:
         print("not isomorphic")
@@ -213,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="write one JSON file per solution here")
     p.add_argument("--limit", type=int, default=None,
                    help="stop with exit 2 once the search visits more nodes than this")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="hard size cap (default 4, or YBEKIT_MAX_N)")
+    p.add_argument("--max-n", type=int, default=EnumerationConfig.max_n,
+                   help="hard size cap (default %(default)s)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("isomorphic", help="search for a relabeling between two solutions")

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the rule for integer inputs."""
 
 
 class ShapeError(ValueError):
@@ -20,3 +20,9 @@ class AxiomError(ValueError):
     def __init__(self, name: str, witness: tuple, solution):
         super().__init__(f"solution is not {name}: witness={witness}")
         self.name, self.witness, self.solution = name, witness, solution
+
+
+def require_ints(values, message: str) -> None:
+    """TypeError(message) unless every value is an int and not a bool."""
+    if any(t is bool or not issubclass(t, int) for t in set(map(type, values))):
+        raise TypeError(message)

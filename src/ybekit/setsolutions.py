@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import AxiomError, ParseError
+from .errors import AxiomError, ParseError, ShapeError, require_ints
 
 MapTable = tuple[int, ...]
 
@@ -43,7 +43,8 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
+        object.__setattr__(self, "image", tuple(self.image))
+        require_ints(self.image, "image values must be integers")
         if not is_bijection_table(self.image):
             raise ValueError(f"image {self.image} is not a bijection")
 
@@ -99,9 +100,9 @@ class SetSolution:
     """Tables sigma and gamma of a candidate map r(x,y) = (sigma_x(y), gamma_y(x)).
 
     sigma[i-1][j-1] is sigma_i(j) and gamma[j-1][i-1] is gamma_j(i), all
-    1-based.  Construction only validates shape and value ranges; whether
-    the tables are bijective, involutive or braided is what the checks in
-    this module decide.
+    1-based.  Construction checks that n and every entry are ints and not
+    bools (TypeError; nothing is coerced), and shape and ranges (ValueError);
+    bijectivity and the axioms are what the checks in this module decide.
     """
 
     n: int
@@ -109,17 +110,21 @@ class SetSolution:
     gamma: tuple[MapTable, ...]
 
     def __post_init__(self):
+        require_ints((self.n,), "n must be an integer")
         if self.n < 1:
             raise ValueError("set size must be positive")
         for name in ("sigma", "gamma"):
-            tables = tuple(tuple(int(v) for v in t) for t in getattr(self, name))
+            try:
+                tables = tuple(map(tuple, getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be a sequence of tables") from None
             if len(tables) != self.n:
                 raise ValueError(f"{name} must hold {self.n} tables")
-            for t in tables:
-                if len(t) != self.n:
-                    raise ValueError(f"each {name} table must have {self.n} entries")
-                if any(not 1 <= v <= self.n for v in t):
-                    raise ValueError(f"{name} values must lie in 1..{self.n}")
+            if any(len(t) != self.n for t in tables):
+                raise ValueError(f"each {name} table must have {self.n} entries")
+            require_ints(itertools.chain.from_iterable(tables), f"{name} values must be integers")
+            if min(map(min, tables)) < 1 or max(map(max, tables)) > self.n:
+                raise ValueError(f"{name} values must lie in 1..{self.n}")
             object.__setattr__(self, name, tables)
 
 
@@ -297,7 +302,7 @@ def isomorphic_set(sa: SetSolution, sb: SetSolution) -> Permutation | None:
     sizes under sigma_x and gamma_x), and a branch is cut at the first pair
     whose images are all assigned and disagree."""
     if sa.n != sb.n:
-        raise ValueError("solutions on sets of different sizes")
+        raise ShapeError(f"solutions have different sizes: {sa.n} and {sb.n}")
     rng = range(1, sa.n + 1)
     sig_a, sig_b = ([(apply_r(s, x, x) == (x, x), _orbit_sizes(s.sigma[x - 1]),
                       _orbit_sizes(s.gamma[x - 1])) for x in rng] for s in (sa, sb))
@@ -341,29 +346,19 @@ def solution_to_json(s: SetSolution) -> str:
 
 
 def solution_from_json(text: str) -> SetSolution:
+    """A JSON object with keys n, sigma and gamma, passed as it is to
+    SetSolution; a missing key or its TypeError or ValueError is a ParseError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("bad JSON: nested too deeply") from exc
+    except ValueError as exc:       # also an integer over CPython's digit cap
+        raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("solution document must be a JSON object")
-    for key in ("n", "sigma", "gamma"):
-        if key not in obj:
-            raise ParseError(f"missing key {key!r}")
-    if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
-        raise ParseError("n must be an integer")
-    for key in ("sigma", "gamma"):
-        tables = obj[key]
-        if (not isinstance(tables, list)
-                or any(not isinstance(t, list) for t in tables)
-                or any(not isinstance(v, int) or isinstance(v, bool)
-                       for t in tables for v in t)):
-            raise ParseError(f"{key} must be a list of integer lists")
     try:
-        return SetSolution(obj["n"],
-                           tuple(tuple(t) for t in obj["sigma"]),
-                           tuple(tuple(t) for t in obj["gamma"]))
-    except ValueError as exc:
+        return SetSolution(obj["n"], obj["sigma"], obj["gamma"])
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc

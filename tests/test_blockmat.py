@@ -306,6 +306,9 @@ def test_block_partition_validation():
         BlockPartition((), (1,))
     p = BlockPartition((2, 1), (1, 2))
     assert p.transpose() == BlockPartition((1, 2), (2, 1))
+    for rows, cols in [((1.5, 2.9), (1,)), ((2.0,), (1,)), ((2,), (True,)), ((2,), ("1",))]:
+        with pytest.raises(TypeError, match=r"^partition strip sizes must be integers$"):
+            BlockPartition(rows, cols)
 
 
 def test_partitioned_matrix_validation():

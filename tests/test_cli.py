@@ -230,6 +230,36 @@ def test_direct_product_output(tmp_path, capsys):
     assert json.loads(out)["n"] == 4
 
 
+def test_solution_entry_over_digit_cap_exits_2(tmp_path, capsys):
+    # CPython refuses to read an integer of more than 4300 digits
+    big = put(tmp_path, "big.json", '{"n": 2, "sigma": [[1, %s], [1, 2]], '
+              '"gamma": [[1, 2], [1, 2]]}' % ("9" * 5000))
+    ok = put(tmp_path, "ok.json", TRIVIAL_JSON)
+    for argv in (["check", big], ["verify-theorem-a", ok, big]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad JSON: ") and err.count("\n") == 1
+
+
+def test_size_bound_refuses_before_any_check(tmp_path, capsys):
+    # check and verify-theorem-a keep repmat's n^4 <= 10^7 bound on the
+    # points they gate (n <= 56); direct-product bounds its (nm)^2 sigma table
+    def trivial(n):
+        return put(tmp_path, f"t{n}.json", solution_to_json(trivial_solution(n)))
+
+    cases = [(["check", trivial(57)], 3249),
+             (["verify-theorem-a", trivial(8), trivial(8)], 4096),
+             (["direct-product", trivial(57), trivial(57)], 3249)]
+    for argv, order in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: output of {order}x{order} is over the 10000000-entry cap\n"
+    code, out, err = run(capsys, ["verify-theorem-a", trivial(7), trivial(8)])
+    assert (code, out, err) == (0, "THEOREM_A ok n=7 m=8 pairs=1\n", "")
+
+
 def test_verify_theorem_a_ok(tmp_path, capsys):
     x = put(tmp_path, "x.json", TRIVIAL_JSON)
     y = put(tmp_path, "y.json", SWAP_JSON)
@@ -333,30 +363,11 @@ def test_enumerate_size_cap(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_enumerate_env_cap(tmp_path, capsys, monkeypatch):
+def test_enumerate_size_cap_reads_no_environment(tmp_path, capsys, monkeypatch):
+    # --max-n is the one cap setting; the environment plays no part
     monkeypatch.setenv("YBEKIT_MAX_N", "2")
-    code, _, err = run(capsys, ["enumerate", "3"])
-    assert code == 2
-    monkeypatch.setenv("YBEKIT_MAX_N", "3")
-    code, out, _ = run(capsys, ["enumerate", "3"])
-    assert code == 0
-    assert len(out.splitlines()) == 12
-
-
-def test_enumerate_env_cap_malformed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YBEKIT_MAX_N", "four")
-    code, _, err = run(capsys, ["enumerate", "2"])
-    assert code == 2
-    assert "YBEKIT_MAX_N" in err
-
-
-def test_env_cap_read_only_by_enumerate(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YBEKIT_MAX_N", "four")
-    code, out, err = run(capsys, ["check", put(tmp_path, "s.json", TRIVIAL_JSON)])
-    assert code == 0 and err == ""
-    code, out, err = run(capsys, ["enumerate", "2"])
-    assert code == 2 and out == ""
-    assert err == "error: YBEKIT_MAX_N must be an integer, got 'four'\n"
+    code, out, err = run(capsys, ["enumerate", "3"])
+    assert (code, len(out.splitlines()), err) == (0, 12, "12 solutions\n")
 
 
 def test_enumerate_refuses_out_dir_holding_output(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ybekit.setsolutions
 from conftest import NOT_BRAIDED, cycle_solution3, set_maps, swap_solution, trivial_solution
-from ybekit.errors import AxiomError, ParseError
+from ybekit.errors import AxiomError, ParseError, ShapeError
 from ybekit.setsolutions import (
     CheckResult,
     Permutation,
@@ -65,6 +65,9 @@ def test_permutation_type():
         Permutation((1, 2))(3)
     with pytest.raises(ValueError, match=r"^cannot compose permutations of different sizes$"):
         p.compose(Permutation((1, 2)))
+    for image in [(2.2, 1.0), (2.0, 1.0), (True, 2), ("2", "1")]:
+        with pytest.raises(TypeError, match=r"^image values must be integers$"):
+            Permutation(image)
 
 
 def test_solution_construction_validation():
@@ -76,6 +79,17 @@ def test_solution_construction_validation():
         SetSolution(0, (), ())
     with pytest.raises(ValueError, match=r"^each sigma table must have 2 entries$"):
         SetSolution(2, ((1, 2), (1,)), ((1, 2), (1, 2)))
+    # no coercion: a float, bool or str n or entry is a TypeError
+    for n in [2.0, True, "2"]:
+        with pytest.raises(TypeError, match=r"^n must be an integer$"):
+            SetSolution(n, ((1, 2), (1, 2)), ((1, 2), (1, 2)))
+    for entry in [1.9, 2.0, True, "2"]:
+        with pytest.raises(TypeError, match=r"^sigma values must be integers$"):
+            SetSolution(2, ((entry, 2), (1, 2)), ((1, 2), (1, 2)))
+        with pytest.raises(TypeError, match=r"^gamma values must be integers$"):
+            SetSolution(2, ((1, 2), (1, 2)), ((1, 2), (1, entry)))
+    with pytest.raises(TypeError, match=r"^sigma must be a sequence of tables$"):
+        SetSolution(2, 5, ((1, 2), (1, 2)))
     # non-bijective tables are representable; checks reject them later
     s = SetSolution(2, ((1, 1), (1, 2)), ((1, 2), (1, 2)))
     assert not is_nondegenerate(s)
@@ -477,7 +491,7 @@ def test_isomorphic_set_rejects_large_non_isomorphic_pair_fast():
 
 
 def test_isomorphic_set_size_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match=r"^solutions have different sizes: 2 and 3$"):
         isomorphic_set(trivial_solution(2), trivial_solution(3))
 
 
@@ -502,19 +516,22 @@ def test_json_accepts_non_bijective_tables():
 
 
 def test_json_parse_errors():
+    gamma = '"gamma": [[1, 2], [1, 2]]}'
+    bad_sigma = ['"x"', '[[1, 2]]', '[[1, 3], [1, 2]]', '[[1, true], [1, 2]]',
+                 '[[1, 2.0], [1, 2]]', '5', '{"1": [1, 2], "2": [1, 2]}', '["12", "12"]']
     bad = [
         "not json",
         '{"n": 2, "sigma": [[1, 2], [1, 2]]}',
-        '{"n": 2, "sigma": "x", "gamma": [[1, 2], [1, 2]]}',
-        '{"n": 2, "sigma": [[1, 2]], "gamma": [[1, 2], [1, 2]]}',
-        '{"n": 2, "sigma": [[1, 3], [1, 2]], "gamma": [[1, 2], [1, 2]]}',
-        '{"n": 2, "sigma": [[1, true], [1, 2]], "gamma": [[1, 2], [1, 2]]}',
-        '{"n": 2, "sigma": [[1, 2.0], [1, 2]], "gamma": [[1, 2], [1, 2]]}',
+        '{"n": 2.0, "sigma": [[1, 2], [1, 2]], ' + gamma,
+        '{"n": true, "sigma": [[1, 2], [1, 2]], ' + gamma,
         '[1, 2]',
         "[" * 100_000,
     ]
     for text in bad:
         with pytest.raises(ParseError):
             solution_from_json(text)
+    for sigma in bad_sigma:     # a malformed table is named
+        with pytest.raises(ParseError, match="sigma"):
+            solution_from_json(f'{{"n": 2, "sigma": {sigma}, ' + gamma)
     with pytest.raises(ParseError, match=r"^n must be an integer$"):
         solution_from_json('{"n": "2", "sigma": [[1, 2], [1, 2]], "gamma": [[1, 2], [1, 2]]}')
