@@ -5,8 +5,9 @@ with commutation matrices.
 Every scalar is a `fractions.Fraction`, so all arithmetic is exact.  Entry
 and block indices on the public surface are 1-based, matching the usual
 partitioned-matrix conventions.  Storage is sparse: one dict per row maps
-0-based columns to the nonzero entries.  The public constructor validates
-every cell; kernel outputs are built by `_matrix`, which trusts its rows.
+0-based columns to the nonzero entries.  The public constructor takes int
+dimensions and Fraction or int cells, never a bool, a float or text; kernel
+outputs are built by `_matrix`, which trusts its rows.
 `@` sums integer numerators over one common denominator per output row.
 A product with `_ONE`, the only 1 `_frac` returns, is the other entry itself.
 `@` by a (partial) permutation copies or re-keys rows.  Strip maps are cached.
@@ -31,11 +32,12 @@ _ONE = Fraction(1)
 
 
 def _frac(value) -> Fraction:
-    # floats are rejected: binary rounding would silently break exactness
-    if isinstance(value, (int, str)):
+    # a float would round, and text is for a grammar such as parse_matrix_csv
+    if type(value) is int:          # the exact-type test keeps int cells cheap
         value = Fraction(value)
     elif not isinstance(value, Fraction):
-        raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+        require_ints((value,), f"exact scalar expected, got {type(value).__name__}")
+        value = Fraction(value)
     return _ONE if value == 1 else value    # the unit fast paths test `x is _ONE`
 
 
@@ -69,6 +71,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, cells: Iterable) -> None:
+        require_ints((rows, cols), "matrix dimensions must be integers")
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
         data = [_frac(x) for x in cells]
@@ -379,7 +382,8 @@ def khatri_rao(a: PartitionedMatrix, b: PartitionedMatrix) -> Matrix:
     return _strip_product(a, b, diagonal=True).matrix
 
 
-_PARTITION_RE = re.compile(r"^#\s*partition\s+rows=([0-9][0-9,]*)\s+cols=([0-9][0-9,]*)\s*$")
+_PARTITION_RE = re.compile(
+    r"^#\s*partition\s+rows=([0-9]+(?:,[0-9]+)*)\s+cols=([0-9]+(?:,[0-9]+)*)\s*$")
 
 # Digits allowed in a CSV numerator or denominator.  A product entry
 # multiplies two input entries, so it stays within CPython's 4300-digit cap
@@ -387,7 +391,8 @@ _PARTITION_RE = re.compile(r"^#\s*partition\s+rows=([0-9][0-9,]*)\s+cols=([0-9][
 CSV_MAX_DIGITS = 2000
 # Cells the CLI will compute and write for one output matrix.
 MAX_OUTPUT_CELLS = 10**7
-_ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/[0-9]{1,%d})?" % (CSV_MAX_DIGITS, CSV_MAX_DIGITS))
+# With a zero denominator outside the grammar, Fraction(entry) cannot raise.
+_ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/(?=0*[1-9])[0-9]{1,%d})?" % ((CSV_MAX_DIGITS,) * 2))
 
 
 def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -> str:
@@ -406,8 +411,8 @@ def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -
 def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
     """Parse CSV text as written by format_matrix_csv.
 
-    Entries must match -?[0-9]+(/[0-9]+)? with at most CSV_MAX_DIGITS digits
-    in the numerator and in the denominator.  Returns the matrix and the
+    Entries must match -?[0-9]+(/[0-9]+)? with a nonzero denominator and at
+    most CSV_MAX_DIGITS digits in each part.  Returns the matrix and the
     declared partition, if any; consistency of the two is the caller's
     concern (see parse_partitioned_csv).
     """
@@ -425,21 +430,13 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
             raise ParseError(f"bad partition header: {exc}") from exc
     if not lines:
         raise ParseError("no matrix rows found")
-    rows = []
-    for ln in lines:
-        entries = []
-        for tok in ln.split(","):
-            tok = tok.strip()
-            try:
-                if not _ENTRY_RE.fullmatch(tok):
-                    raise ValueError("entry outside the CSV grammar")
-                entries.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad matrix entry {reprlib.repr(tok)}") from exc
-        rows.append(entries)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("rows have unequal lengths")
-    return Matrix.from_rows(rows), partition
+    rows = [[tok.strip() for tok in ln.split(",")] for ln in lines]
+    if bad := [tok for row in rows for tok in row if not _ENTRY_RE.fullmatch(tok)]:
+        raise ParseError(f"bad matrix entry {reprlib.repr(bad[0])}")
+    try:
+        return Matrix.from_rows([[Fraction(tok) for tok in row] for row in rows]), partition
+    except ShapeError as exc:       # rows of unequal lengths
+        raise ParseError(str(exc)) from exc
 
 
 def parse_partitioned_csv(text: str) -> PartitionedMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import AxiomError, ParseError, ShapeError, require_ints
@@ -115,7 +116,9 @@ class SetSolution:
             raise ValueError("set size must be positive")
         for name in ("sigma", "gamma"):
             try:
-                tables = tuple(map(tuple, getattr(self, name)))
+                if isinstance(tables := getattr(self, name), (str, Mapping)):
+                    raise TypeError     # text or keys are not a list of tables
+                tables = tuple(map(tuple, tables))
             except TypeError:
                 raise TypeError(f"{name} must be a sequence of tables") from None
             if len(tables) != self.n:
@@ -253,16 +256,17 @@ def check_solution(s: SetSolution) -> CheckReport:
     )
 
 
+# The solution axioms in gate order.  `is_<name>` is looked up when it runs,
+# so a replaced check (a test double, a tracing wrapper) is the one called.
+AXIOMS = ("nondegenerate", "involutive", "braided")
+
+
 def axiom_failure(s: SetSolution) -> AxiomError | None:
-    """The first solution axiom s fails, as an unraised AxiomError naming
-    the axiom, its witness and s, checking nondegenerate, then involutive,
-    then braided; None when s is a non-degenerate involutive braided
-    solution.  Every refusal of a non-solution raises or prints this object."""
-    for name, check in (("nondegenerate", is_nondegenerate),
-                        ("involutive", is_involutive),
-                        ("braided", is_braided)):
-        result = check(s)
-        if not result:
+    """The first of AXIOMS that s fails, as an unraised AxiomError naming the
+    axiom, its witness and s, or None for a solution.  Every refusal of a
+    non-solution raises or prints this object."""
+    for name in AXIOMS:
+        if not (result := globals()[f"is_{name}"](s)):
             return AxiomError(name, result.witness, s)
     return None
 

@@ -70,6 +70,32 @@ def test_floats_are_rejected():
         identity(2) + rows([[1, 0], [0, 1.0]])
 
 
+# outside the CSV grammar: mostly Fraction's own syntax, or over the digit cap
+ENTRIES_OUTSIDE_GRAMMAR = [
+    "1e300000", "1e10000000", "1" * 2001, "1/" + "7" * 2001, "1.5", "+1",
+    "1e3", "1_000", "1/-2", "\u0661"]
+
+
+@pytest.mark.parametrize("cell", ENTRIES_OUTSIDE_GRAMMAR + ["1/2", "1", " +1_000 ", True])
+def test_matrix_cells_are_never_text_or_bools(cell):
+    # text is read by parse_matrix_csv's grammar, never by the constructor
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match=r"^exact scalar expected, got (str|bool)$"):
+        Matrix(1, 1, [cell])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_matrix_dimensions_and_scalars_are_ints():
+    m = identity(2)
+    for shape in [(True, 1), (1, True), (2.0, 2), ("2", 2)]:
+        with pytest.raises(TypeError, match=r"^matrix dimensions must be integers$"):
+            Matrix(*shape, [1, 0])
+    for lam in [True, "2", 0.5]:
+        with pytest.raises(TypeError):
+            lam * m
+    assert 2 * m == m + m and F(1, 2) * m == rows([[F(1, 2), 0], [0, F(1, 2)]])
+
+
 def test_entry_range_errors():
     m = identity(2)
     for bad in [(0, 1), (1, 0), (3, 1), (1, 3)]:
@@ -573,13 +599,19 @@ def test_csv_parse_errors():
         parse_matrix_csv("# partition rows=0 cols=1\n1\n")
     with pytest.raises(ParseError):
         parse_matrix_csv("1,1/0\n")
+    for zero in ["1/0", "1/00", "-0/000"]:
+        with pytest.raises(ParseError, match=r"^bad matrix entry '%s'$" % zero):
+            parse_matrix_csv(f"1,{zero}\n")
+    with pytest.raises(ParseError, match=r"^rows have unequal lengths$"):
+        parse_matrix_csv("1,2\n3\n")
+    with pytest.raises(ParseError,
+                       match=r"^bad partition header: '# partition rows=1,,1 cols=2'$"):
+        parse_matrix_csv("# partition rows=1,,1 cols=2\n1,0\n0,1\n")
     with pytest.raises(ShapeError):
         parse_partitioned_csv("# partition rows=3 cols=2\n1,0\n0,1\n")
 
 
-@pytest.mark.parametrize("entry", [
-    "1e300000", "1e10000000", "1" * 2001, "1/" + "7" * 2001, "1.5", "+1",
-    "1e3", "1_000", "1/-2", "\u0661"])
+@pytest.mark.parametrize("entry", ENTRIES_OUTSIDE_GRAMMAR)
 def test_csv_rejects_entries_outside_grammar(entry):
     start = time.perf_counter()
     with pytest.raises(ParseError):
@@ -781,7 +813,7 @@ def test_unit_paths_leave_operands_unchanged():
 
 def test_ones_from_outside_are_the_kernel_one():
     # the unit fast paths test identity with the kernel's one
-    for m in [rows([[1, F(1)], ["1", F(3, 3)]]), parse_matrix_csv("1,2/2\n0,1\n")[0]]:
+    for m in [rows([[1, F(1), F(3, 3)]]), parse_matrix_csv("1,2/2\n0,1\n")[0]]:
         assert all(v is _ONE for d in m._nz for v in d.values())
 
 

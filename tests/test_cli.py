@@ -1,13 +1,18 @@
 """Command line surface: outputs, exit codes, determinism."""
 
 import ast
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_a, sample_b, swap_solution, trivial_solution
 from ybekit.blockmat import format_matrix_csv, parse_partitioned_csv, tracy_singh
@@ -84,6 +89,18 @@ def test_product_over_output_cap_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == "error: output of 4000x4000 is over the 10000000-entry cap\n"
+
+
+@pytest.mark.parametrize("op", ["kronecker", "tracy-singh"])
+def test_product_cap_is_sized_from_the_shapes(tmp_path, capsys, op):
+    # 8000 one-row strips each: pairing every strip would cost 64 million steps
+    col = put(tmp_path, "col.csv", "# partition rows=%s cols=1\n" % ",".join(["1"] * 8000)
+              + "1\n" * 8000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["product", op, col, col])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: output of 64000000x1 is over the 10000000-entry cap\n"
 
 
 def test_product_hadamard_mismatch_exits_3(tmp_path, capsys):
@@ -477,3 +494,67 @@ def test_refusal_text_is_written_once():
               for path in sources}
     assert sum(counts.values()) == 1, counts
     assert counts["errors.py"] == 1
+
+
+# --- malformed inputs: every call ends in one of the documented exits -------
+
+_CSV_TOKENS = st.text(alphabet="0123456789-/,.e+_x \t", max_size=4)
+_CSV_HEADERS = st.one_of(
+    st.just(""),
+    st.builds("# partition rows={} cols={}\n".format,
+              st.text(alphabet="0123456789,", max_size=5),
+              st.text(alphabet="0123456789,", max_size=5)),
+    st.text(alphabet="# partionrwscl=0123456789,", max_size=12).map(lambda t: "#" + t + "\n"))
+_CSV_DOCUMENTS = st.builds(
+    lambda header, rows: header + "".join(",".join(r) + "\n" for r in rows),
+    _CSV_HEADERS, st.lists(st.lists(_CSV_TOKENS, min_size=1, max_size=3), max_size=3))
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=8)
+_TABLES = st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3)
+_SOLUTION_DOCUMENTS = st.one_of(
+    st.text(max_size=8),
+    _JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({"n": st.integers(1, 3) | _JSON_VALUES,
+                           "sigma": _TABLES | _JSON_VALUES,
+                           "gamma": _TABLES | _JSON_VALUES}).map(json.dumps))
+
+_SOLUTION_COMMANDS = [["check", "x"], ["repmat", "x"], ["repmat", "--flip", "x"],
+                      ["direct-product", "x", "y"], ["verify-theorem-a", "x", "y"],
+                      ["verify-theorem-a", "--skip-checks", "x", "y"], ["isomorphic", "x", "y"]]
+
+
+def _run_on_files(commands, texts):
+    """main() on each command, whose x and y name files holding `texts`:
+    asserts a documented exit, one `error:` line on exits 2 and 3, and
+    under a second per call."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / name) for name in "xy"}
+        for name, text in zip("xy", texts):
+            Path(paths[name]).write_text(text, encoding="utf-8")
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([paths.get(arg, arg) for arg in command])
+            assert time.perf_counter() - start < 1.0, (command, texts)
+            assert code in (0, 1, 2, 3), (command, texts)
+            if code in (2, 3):
+                assert err.getvalue().startswith("error: "), (command, texts)
+                assert err.getvalue().count("\n") == 1, (command, texts, err.getvalue())
+
+
+@given(_CSV_DOCUMENTS, _CSV_DOCUMENTS)
+@settings(deadline=None, max_examples=50)
+def test_product_on_malformed_csv_exits_cleanly(a, b):
+    _run_on_files([["product", op, "x", "y"] for op in
+                   ["kronecker", "hadamard", "tracy-singh", "khatri-rao"]], (a, b))
+
+
+@given(_SOLUTION_DOCUMENTS, _SOLUTION_DOCUMENTS)
+@settings(deadline=None, max_examples=50)
+def test_solution_commands_on_malformed_json_exit_cleanly(x, y):
+    _run_on_files(_SOLUTION_COMMANDS, (x, y))

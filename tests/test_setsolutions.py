@@ -535,3 +535,8 @@ def test_json_parse_errors():
             solution_from_json(f'{{"n": 2, "sigma": {sigma}, ' + gamma)
     with pytest.raises(ParseError, match=r"^n must be an integer$"):
         solution_from_json('{"n": "2", "sigma": [[1, 2], [1, 2]], "gamma": [[1, 2], [1, 2]]}')
+    for sigma in ['"x"', '"12"', '{"1": [1, 2], "2": [1, 2]}']:     # text or keys, not tables
+        with pytest.raises(ParseError, match=r"^sigma must be a sequence of tables$"):
+            solution_from_json(f'{{"n": 2, "sigma": {sigma}, ' + gamma)
+    with pytest.raises(ParseError, match=r"^gamma must be a sequence of tables$"):
+        solution_from_json('{"n": 2, "sigma": [[1, 2], [1, 2]], "gamma": "12"}')
