@@ -389,8 +389,6 @@ _PARTITION_RE = re.compile(
 # multiplies two input entries, so it stays within CPython's 4300-digit cap
 # on int-to-str conversion when written back out.
 CSV_MAX_DIGITS = 2000
-# Cells the CLI will compute and write for one output matrix.
-MAX_OUTPUT_CELLS = 10**7
 # With a zero denominator outside the grammar, Fraction(entry) cannot raise.
 _ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/(?=0*[1-9])[0-9]{1,%d})?" % ((CSV_MAX_DIGITS,) * 2))
 

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
-from .blockmat import (MAX_OUTPUT_CELLS, format_matrix_csv, hadamard,
-                       khatri_rao, kronecker, parse_partitioned_csv,
-                       tracy_singh)
+from .blockmat import (format_matrix_csv, hadamard, khatri_rao, kronecker,
+                       parse_partitioned_csv, tracy_singh)
 from .enumeration import (EnumerationConfig, EnumerationLimitError,
                           enumerate_solutions, iso_classes)
 from .errors import AxiomError, ParseError, ShapeError
 from .repmat import compose_flip, representing_matrix, verify_theorem_a
 from .setsolutions import (AXIOMS, CheckReport, axiom_failure, check_solution, direct_product,
                            isomorphic_set, solution_from_json, solution_to_json)
+
+# Cells the CLI will compute and write for one output matrix or index table.
+MAX_OUTPUT_CELLS = 10**7
 
 
 def _read_text(path: str) -> str:
@@ -34,7 +37,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_solution(path: str):
-    return solution_from_json(_read_text(path))
+    s = solution_from_json(_read_text(path))
+    _require_output_cells(s.n ** 2, s.n ** 2)      # its representing matrix: n <= 56
+    return s
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -56,6 +61,11 @@ def _cmd_product(args) -> int:
         _require_output_cells(*(sum(p * q for p, q in zip(sa, sb)) for sa, sb in (
             (a.partition.row_sizes, b.partition.row_sizes),
             (a.partition.col_sizes, b.partition.col_sizes))))
+        # _strip_map tabulates every (A index, B index) pair along each axis
+        tables = a.matrix.rows * b.matrix.rows + a.matrix.cols * b.matrix.cols
+        if tables > MAX_OUTPUT_CELLS:
+            raise ParseError(f"index tables of {tables} entries are over the "
+                             f"{MAX_OUTPUT_CELLS}-entry cap")
     elif args.op != "hadamard":     # every strip pair: the product of the two shapes
         _require_output_cells(a.matrix.rows * b.matrix.rows, a.matrix.cols * b.matrix.cols)
     if args.op == "kronecker":
@@ -73,7 +83,6 @@ def _cmd_product(args) -> int:
 
 def _cmd_check(args) -> int:
     s = _load_solution(args.solution)
-    _require_output_cells(s.n ** 2, s.n ** 2)      # the bound repmat applies
     report = check_solution(s)
     for field in dataclasses.fields(CheckReport):
         result = getattr(report, field.name)
@@ -86,7 +95,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_repmat(args) -> int:
     s = _load_solution(args.solution)
-    _require_output_cells(s.n ** 2, s.n ** 2)
     if (failure := axiom_failure(s)) is not None:
         print(failure, file=sys.stderr)
         return 1
@@ -101,7 +109,6 @@ def _cmd_repmat(args) -> int:
 def _cmd_direct_product(args) -> int:
     sx = _load_solution(args.x)
     sy = _load_solution(args.y)
-    _require_output_cells(sx.n * sy.n, sx.n * sy.n)     # the product's sigma table
     product = direct_product(sx, sy)
     _emit(solution_to_json(product) + "\n", args.output)
     return 0
@@ -164,6 +171,7 @@ def _cmd_isomorphic(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybekit",

@@ -27,7 +27,7 @@ class EnumerationConfig:
     """n: set size; dedupe: collapse isomorphism classes; limit: optional
     budget on the search nodes, the partial sigma assignments visited with
     the empty one included (1 599 at n = 4); max_n: hard size cap, raise it
-    explicitly for sweeps beyond 4."""
+    explicitly for sweeps beyond 4, up to 9."""
 
     n: int
     dedupe: bool = False
@@ -41,6 +41,9 @@ class EnumerationConfig:
             raise ValueError("limit must be positive when given")
         if self.max_n < 1:
             raise ValueError("size cap must be positive")
+        if self.max_n > 9:      # the search tabulates all n! permutations before its first node
+            raise ValueError("size cap must be at most 9: the 10!*10 permutation table "
+                             "entries are over 10^7")
 
 
 def enumerate_solutions(cfg: EnumerationConfig) -> list[SetSolution]:

@@ -103,6 +103,20 @@ def test_product_cap_is_sized_from_the_shapes(tmp_path, capsys, op):
     assert err == "error: output of 64000000x1 is over the 10000000-entry cap\n"
 
 
+def test_product_khatri_rao_index_tables_are_capped(tmp_path, capsys):
+    # 4000 one-row (or one-column) strips: the output is small, but the strip
+    # map would tabulate all 4000 x 4000 index pairs along that axis
+    ones = ",".join(["1"] * 4000)
+    files = [put(tmp_path, "rows.csv", f"# partition rows={ones} cols=1\n" + "1\n" * 4000),
+             put(tmp_path, "cols.csv", f"# partition rows=1 cols={ones}\n{ones}\n")]
+    for path in files:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["product", "khatri-rao", path, path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: index tables of 16000001 entries are over the 10000000-entry cap\n"
+
+
 def test_product_hadamard_mismatch_exits_3(tmp_path, capsys):
     a = put(tmp_path, "a.csv", "1,0\n0,1\n")
     b = put(tmp_path, "b.csv", "1\n")
@@ -117,6 +131,13 @@ def test_product_khatri_rao_grid_mismatch_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, ["product", "khatri-rao", a, b])
     assert code == 3
     assert "error:" in err
+
+
+def test_product_partition_mismatch_exits_3(tmp_path, capsys):
+    a = put(tmp_path, "a.csv", "# partition rows=1,2 cols=1\n1\n2\n")
+    code, out, err = run(capsys, ["product", "kronecker", a, a])
+    assert (code, out) == (3, "")
+    assert err == "error: row partition does not sum to the matrix height\n"
 
 
 def test_product_missing_file_exits_2(tmp_path, capsys):
@@ -259,14 +280,16 @@ def test_solution_entry_over_digit_cap_exits_2(tmp_path, capsys):
 
 
 def test_size_bound_refuses_before_any_check(tmp_path, capsys):
-    # check and verify-theorem-a keep repmat's n^4 <= 10^7 bound on the
-    # points they gate (n <= 56); direct-product bounds its (nm)^2 sigma table
+    # every solution file is held to repmat's n^4 <= 10^7 bound (n <= 56) as
+    # it is read; verify-theorem-a holds the product's n*m points to it too
     def trivial(n):
         return put(tmp_path, f"t{n}.json", solution_to_json(trivial_solution(n)))
 
     cases = [(["check", trivial(57)], 3249),
              (["verify-theorem-a", trivial(8), trivial(8)], 4096),
-             (["direct-product", trivial(57), trivial(57)], 3249)]
+             (["direct-product", trivial(57), trivial(57)], 3249),
+             (["direct-product", trivial(57), trivial(1)], 3249),
+             (["isomorphic", trivial(57), trivial(57)], 3249)]
     for argv, order in cases:
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
@@ -378,6 +401,13 @@ def test_enumerate_size_cap(tmp_path, capsys):
     code, _, err = run(capsys, ["enumerate", "3", "--max-n", "2"])
     assert code == 2
     assert "error:" in err
+    # the search tabulates all n! permutations before --limit counts a node
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["enumerate", "10", "--max-n", "10", "--limit", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: size cap must be at most 9: the 10!*10 permutation table "
+                   "entries are over 10^7\n")
 
 
 def test_enumerate_size_cap_reads_no_environment(tmp_path, capsys, monkeypatch):
@@ -417,6 +447,10 @@ def test_enumerate_invalid_n(tmp_path, capsys):
     code, _, err = run(capsys, ["enumerate", "0"])
     assert code == 2
     assert "error:" in err
+    for option, message in [("--limit", "limit must be positive when given"),
+                            ("--max-n", "size cap must be positive")]:
+        code, out, err = run(capsys, ["enumerate", "2", option, "0"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_isomorphic_not(tmp_path, capsys):
@@ -450,8 +484,11 @@ def test_isomorphic_size_mismatch_exits_3(tmp_path, capsys):
 def test_cli_byte_determinism(tmp_path, capsys):
     path = put(tmp_path, "s.json", SWAP_JSON)
     first = run(capsys, ["repmat", path, "--flip"])
+    plain = run(capsys, ["repmat", path])
     second = run(capsys, ["repmat", path, "--flip"])
     assert first == second
+    # the parser is built once per process; no option carries over between calls
+    assert plain[0] == 0 and plain != first
     stream1 = run(capsys, ["enumerate", "2", "--dedupe"])
     stream2 = run(capsys, ["enumerate", "2", "--dedupe"])
     assert stream1 == stream2

@@ -27,6 +27,9 @@ def test_config_validation():
         EnumerationConfig(2, limit=0)
     with pytest.raises(ValueError):
         EnumerationConfig(2, max_n=0)
+    with pytest.raises(ValueError, match=r"at most 9: the 10!\*10 permutation table"):
+        EnumerationConfig(2, max_n=10)
+    assert EnumerationConfig(2, max_n=9).max_n == 9
 
 
 def test_counts_frozen(sols2, sols3, sols4):
