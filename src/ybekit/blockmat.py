@@ -8,7 +8,8 @@ partitioned-matrix conventions.  Storage is sparse: one dict per row maps
 0-based columns to the nonzero entries.  The public constructor takes int
 dimensions and Fraction or int cells, never a bool, a float or text; kernel
 outputs are built by `_matrix`, which trusts its rows.
-`@` sums integer numerators over one common denominator per output row.
+`@` and `inverse` work on integer rows (numerators over one denominator);
+`inverse` keeps them primitive and builds one Fraction per output entry.
 A product with `_ONE`, the only 1 `_frac` returns, is the other entry itself.
 `@` by a (partial) permutation copies or re-keys rows.  Strip maps are cached.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ShapeError, SingularMatrixError, require_ints
@@ -49,6 +50,12 @@ def _unit_rows(nz: Sequence[dict]) -> list | None:
     """Column of each row's lone 1 (None if empty), or None if some row holds more."""
     unit = all(tuple(d.values()) in ((), (_ONE,)) for d in nz)  # == tries `is` first
     return [next(iter(d), None) for d in nz] if unit else None
+
+
+def _int_row(d: dict) -> tuple[int, dict]:
+    """A row as the lcm of its denominators and the integer numerators over it."""
+    den = lcm(*(v.denominator for v in d.values()))
+    return den, {j: v.numerator * (den // v.denominator) for j, v in d.items()}
 
 
 def _matrix(rows: int, cols: int, nz: Iterable[dict]) -> "Matrix":
@@ -159,13 +166,8 @@ class Matrix:
         if (cols := _unit_rows(other._nz)) and len(set(cols) - {None}) == len(cols):
             return _matrix(self.rows, other.cols,
                            ({cols[k]: a for k, a in d.items()} for d in self._nz))
-        # each row of other as integer numerators over the lcm of its
-        # denominators; each output row then sums ints over one denominator
-        b_rows = []
-        for d in other._nz:
-            den = lcm(*(v.denominator for v in d.values()))
-            b_rows.append((den, [(j, v.numerator * (den // v.denominator))
-                                 for j, v in d.items()]))
+        # each output row sums the integer rows of other over one denominator
+        b_rows = [_int_row(d) for d in other._nz]
         out = []
         for d in self._nz:
             terms = [(a, b_rows[k]) for k, a in d.items() if b_rows[k][1]]
@@ -173,7 +175,7 @@ class Matrix:
             acc: dict[int, int] = {}
             for a, (bden, nums) in terms:
                 f = a.numerator * (den // (a.denominator * bden))
-                for j, n in nums:
+                for j, n in nums.items():
                     acc[j] = acc.get(j, 0) + f * n
             out.append({j: Fraction(n, den) for j, n in acc.items() if n})
         return _matrix(self.rows, other.cols, out)
@@ -197,8 +199,8 @@ def identity(n: int) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination on the nonzeros of [a | I];
-    an entry that cancels to zero is deleted at once.
+    """Exact inverse by Gauss-Jordan elimination on the nonzeros of [a | I],
+    held as primitive integer rows; one Fraction is built per output entry.
 
     The pivot is the first nonzero entry in the column: with exact
     arithmetic no magnitude-based pivoting is needed.
@@ -206,25 +208,30 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeError("only square matrices can be inverted")
     n = a.rows
-    work = [{**row, n + i: _ONE} for i, row in enumerate(a._nz)]
+    work = [{**nums, n + i: den} for i, (den, nums) in enumerate(map(_int_row, a._nz))]
     for col in range(n):
         piv = next((r for r in range(col, n) if col in work[r]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         work[col], work[piv] = work[piv], work[col]
-        p = work[col][col]
-        if p != 1:
-            work[col] = {j: x / p for j, x in work[col].items()}
         pivot_row = work[col]
+        p = pivot_row[col]
         for r, row in enumerate(work):
-            f = row.get(col)
-            if r != col and f:
+            if r != col and (f := row.get(col)):
+                # a nonzero multiple of the rational row: zeros and pivots match
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                if s != 1:
+                    work[r] = row = {j: s * x for j, x in row.items()}
                 for j, y in pivot_row.items():
-                    if x := row.get(j, 0) - f * y:
+                    if x := row.get(j, 0) - t * y:
                         row[j] = x
                     else:
                         del row[j]
-    return _matrix(n, n, ({j - n: v for j, v in row.items() if j >= n} for row in work))
+                if (h := gcd(*row.values())) != 1:
+                    work[r] = {j: x // h for j, x in row.items()}
+    return _matrix(n, n, ({j - n: Fraction(x, row[i]) for j, x in row.items() if j >= n}
+                          for i, row in enumerate(work)))
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

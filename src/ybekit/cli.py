@@ -106,18 +106,20 @@ def _cmd_repmat(args) -> int:
     return 0
 
 
+def _load_factors(args):
+    sx, sy = _load_solution(args.x), _load_solution(args.y)
+    _require_output_cells((sx.n * sy.n) ** 2, (sx.n * sy.n) ** 2)     # the product's n*m points
+    return sx, sy
+
+
 def _cmd_direct_product(args) -> int:
-    sx = _load_solution(args.x)
-    sy = _load_solution(args.y)
-    product = direct_product(sx, sy)
+    product = direct_product(*_load_factors(args))
     _emit(solution_to_json(product) + "\n", args.output)
     return 0
 
 
 def _cmd_verify_theorem_a(args) -> int:
-    sx = _load_solution(args.x)
-    sy = _load_solution(args.y)
-    _require_output_cells((sx.n * sy.n) ** 2, (sx.n * sy.n) ** 2)     # the product's repmat bound
+    sx, sy = _load_factors(args)
     try:
         result = verify_theorem_a(sx, sy, check=not args.skip_checks)
     except AxiomError as exc:

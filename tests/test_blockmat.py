@@ -1,11 +1,12 @@
 """Exact matrix kernel: products, partitions, commutation matrices, CSV."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -208,6 +209,60 @@ def test_inverse_matches_dense_reference(drawn):
     got = inverse(m)
     assert got == expected and hash(got) == hash(expected)
     assert all(0 not in row.values() for row in got._nz)
+
+
+_DENSE_ENTRY = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def dense_square_matrices(draw, max_n: int = 8):
+    """(matrix, singular) with singular True or None (not known): dense
+    entries p/q, |p| <= 9, q <= 9, each row led by a drawn number of zeros
+    (so a column's first rows can miss the pivot and force a swap), and
+    possibly one row replaced by a rational combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    grid = []
+    for _ in range(n):
+        lead = draw(st.integers(0, n - 1))
+        grid.append([0] * lead + draw(st.lists(_DENSE_ENTRY, min_size=n - lead,
+                                              max_size=n - lead)))
+    if not draw(st.booleans()):
+        return Matrix.from_rows(grid), None
+    dst = draw(st.integers(0, n - 1))
+    coeffs = draw(st.lists(_DENSE_ENTRY, min_size=n, max_size=n))
+    grid[dst] = [sum(c * row[j] for k, (c, row) in enumerate(zip(coeffs, grid)) if k != dst)
+                 for j in range(n)]
+    return Matrix.from_rows(grid), True
+
+
+@given(dense_square_matrices())
+# a zero leading entry and negative, non-unit pivots
+@example((rows([[0, F(-3, 2), 4], [F(7, 4), 2, F(-1, 9)], [-6, F(5, 3), 0]]), None))
+@settings(deadline=None, max_examples=200)
+def test_inverse_matches_dense_reference_on_dense_rationals(drawn):
+    m, singular = drawn
+    before = (m.to_rows(), hash(m))
+    try:
+        expected = dense_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match=r"^matrix is singular$"):
+            inverse(m)
+    else:
+        assert singular is None
+        got = inverse(m)
+        assert got == expected and hash(got) == hash(expected)
+        assert all(0 not in row.values() for row in got._nz)
+    assert (m.to_rows(), hash(m)) == before
+
+
+def test_inverse_pivots_on_first_nonzero_in_column(monkeypatch):
+    # any pivot order gives the same inverse, so watch the elimination: the
+    # first nonzero of column 1 is 2 (row 2), which clears the 3 in row 3
+    calls = []
+    monkeypatch.setattr("ybekit.blockmat.gcd", lambda *a: calls.append(a) or math.gcd(*a))
+    m = rows([[0, 1, 1], [2, 0, 1], [3, 1, 0]])
+    assert inverse(m) == dense_inverse(m)
+    assert calls[0] == (2, 3)
 
 
 def test_kronecker_frozen():

@@ -300,6 +300,23 @@ def test_size_bound_refuses_before_any_check(tmp_path, capsys):
     assert (code, out, err) == (0, "THEOREM_A ok n=7 m=8 pairs=1\n", "")
 
 
+def test_direct_product_refuses_a_product_over_56_points(tmp_path, capsys):
+    # the product is a solution file like any other, so it obeys the same bound
+    def trivial(n):
+        return put(tmp_path, f"t{n}.json", solution_to_json(trivial_solution(n)))
+
+    out_path = tmp_path / "product.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["direct-product", trivial(8), trivial(8), "-o", str(out_path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: output of 4096x4096 is over the 10000000-entry cap\n"
+    assert not out_path.exists()
+    code, out, err = run(capsys, ["direct-product", trivial(7), trivial(8), "-o", str(out_path)])
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(out_path.read_text())["n"] == 56
+
+
 def test_verify_theorem_a_ok(tmp_path, capsys):
     x = put(tmp_path, "x.json", TRIVIAL_JSON)
     y = put(tmp_path, "y.json", SWAP_JSON)
