@@ -7,11 +7,13 @@ and block indices on the public surface are 1-based, matching the usual
 partitioned-matrix conventions.  Storage is sparse: one dict per row maps
 0-based columns to the nonzero entries.  The public constructor takes int
 dimensions and Fraction or int cells, never a bool, a float or text; kernel
-outputs are built by `_matrix`, which trusts its rows.
-`@` and `inverse` work on integer rows (numerators over one denominator);
-`inverse` keeps them primitive and builds one Fraction per output entry.
-A product with `_ONE`, the only 1 `_frac` returns, is the other entry itself.
-`@` by a (partial) permutation copies or re-keys rows.  Strip maps are cached.
+outputs are built by `_matrix`, which trusts its rows.  The CSV reader
+builds its rows the same way, with its grammar as the one check on a cell.
+`@` copies rows when every left row is empty or a lone 1, as in a (partial)
+permutation, and otherwise works on integer rows (numerators over one
+denominator), as `inverse` does; `inverse` keeps them primitive and builds
+one Fraction per output entry.  A product with `_ONE`, the only 1 `_frac`
+returns, is the other entry itself.  Strip maps are cached.
 """
 
 from __future__ import annotations
@@ -163,9 +165,6 @@ class Matrix:
         if (sel := _unit_rows(self._nz)) is not None:
             return _matrix(self.rows, other.cols,
                            ({} if k is None else other._nz[k].copy() for k in sel))
-        if (cols := _unit_rows(other._nz)) and len(set(cols) - {None}) == len(cols):
-            return _matrix(self.rows, other.cols,
-                           ({cols[k]: a for k, a in d.items()} for d in self._nz))
         # each output row sums the integer rows of other over one denominator
         b_rows = [_int_row(d) for d in other._nz]
         out = []
@@ -396,8 +395,9 @@ _PARTITION_RE = re.compile(
 # multiplies two input entries, so it stays within CPython's 4300-digit cap
 # on int-to-str conversion when written back out.
 CSV_MAX_DIGITS = 2000
-# With a zero denominator outside the grammar, Fraction(entry) cannot raise.
-_ENTRY_RE = re.compile(r"-?[0-9]{1,%d}(/(?=0*[1-9])[0-9]{1,%d})?" % ((CSV_MAX_DIGITS,) * 2))
+# The one check on a CSV cell: its groups, numerator and denominator, build
+# the entry, and with a zero denominator outside the grammar that cannot raise.
+_ENTRY_RE = re.compile(r"(-?[0-9]{1,%d})(?:/(?=0*[1-9])([0-9]{1,%d}))?" % ((CSV_MAX_DIGITS,) * 2))
 
 
 def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -> str:
@@ -435,13 +435,17 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
             raise ParseError(f"bad partition header: {exc}") from exc
     if not lines:
         raise ParseError("no matrix rows found")
-    rows = [[tok.strip() for tok in ln.split(",")] for ln in lines]
-    if bad := [tok for row in rows for tok in row if not _ENTRY_RE.fullmatch(tok)]:
-        raise ParseError(f"bad matrix entry {reprlib.repr(bad[0])}")
-    try:
-        return Matrix.from_rows([[Fraction(tok) for tok in row] for row in rows]), partition
-    except ShapeError as exc:       # rows of unequal lengths
-        raise ParseError(str(exc)) from exc
+    nz = []
+    for ln in lines:
+        nz.append(row := {})
+        for j, tok in enumerate(map(str.strip, ln.split(","))):
+            if not (m := _ENTRY_RE.fullmatch(tok)):
+                raise ParseError(f"bad matrix entry {reprlib.repr(tok)}")
+            if v := Fraction(int(m[1]), int(m[2] or 1)):
+                row[j] = _frac(v)
+    if len(widths := {ln.count(",") + 1 for ln in lines}) > 1:   # after every token
+        raise ParseError("rows have unequal lengths")
+    return _matrix(len(nz), widths.pop(), nz), partition
 
 
 def parse_partitioned_csv(text: str) -> PartitionedMatrix:

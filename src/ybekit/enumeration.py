@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import inf
 
+from .errors import require_ints
 from .setsolutions import SetSolution, axiom_failure
 
 
@@ -35,6 +36,8 @@ class EnumerationConfig:
     max_n: int = 4
 
     def __post_init__(self):
+        require_ints((self.n, self.max_n) + (() if self.limit is None else (self.limit,)),
+                     "n, limit and max_n must be integers")
         if self.n < 1:
             raise ValueError("set size must be positive")
         if self.limit is not None and self.limit < 1:

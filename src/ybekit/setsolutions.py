@@ -53,24 +53,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.image)
 
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"point {i} outside 1..{self.n}")
-        return self.image[i - 1]
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert_table(self.image))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.image[v - 1] for v in other.image))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(identity_table(n))
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -659,6 +659,9 @@ def test_csv_parse_errors():
             parse_matrix_csv(f"1,{zero}\n")
     with pytest.raises(ParseError, match=r"^rows have unequal lengths$"):
         parse_matrix_csv("1,2\n3\n")
+    # every token is checked before the row widths
+    with pytest.raises(ParseError, match=r"^bad matrix entry 'x'$"):
+        parse_matrix_csv("1,2\n3\n4,x\n")
     with pytest.raises(ParseError,
                        match=r"^bad partition header: '# partition rows=1,,1 cols=2'$"):
         parse_matrix_csv("# partition rows=1,,1 cols=2\n1,0\n0,1\n")
@@ -702,6 +705,9 @@ def test_kronecker_transpose_distributes(a, b):
 def test_csv_roundtrip_property(m):
     back, _ = parse_matrix_csv(format_matrix_csv(m))
     assert back == m
+    stored = [v for d in back._nz for v in d.values()]
+    assert all(v is _ONE for v in stored if v == 1)
+    assert 0 not in stored
 
 
 # --- the sparse kernel against naive list-of-lists Fraction formulas --------

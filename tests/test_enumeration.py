@@ -13,9 +13,9 @@ from ybekit.enumeration import (
     iso_classes,
 )
 from ybekit.setsolutions import (
-    Permutation,
     SetSolution,
     check_solution,
+    invert_table,
     isomorphic_set,
 )
 
@@ -30,6 +30,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"at most 9: the 10!\*10 permutation table"):
         EnumerationConfig(2, max_n=10)
     assert EnumerationConfig(2, max_n=9).max_n == 9
+    # no coercion: a float, bool or str n, limit or max_n is a TypeError
+    for kwargs in [dict(n=2.0), dict(n=True), dict(n="2"), dict(n=2, limit=1.5),
+                   dict(n=2, limit=True), dict(n=2, max_n=True), dict(n=2, max_n=4.0)]:
+        with pytest.raises(TypeError, match=r"^n, limit and max_n must be integers$"):
+            EnumerationConfig(**kwargs)
 
 
 def test_counts_frozen(sols2, sols3, sols4):
@@ -116,11 +121,11 @@ def test_iso_classes_structure(sols3):
 
 def test_dedupe_removes_relabeled_duplicate():
     s = cycle_solution3()
-    mu = Permutation((2, 3, 1))
-    inv = mu.inverse()
+    mu = (2, 3, 1)
+    inv = invert_table(mu)
     relabel = lambda tables: tuple(
-        tuple(mu(tables[inv(x) - 1][inv(y) - 1]) for y in range(1, 4))
-        for x in range(1, 4))
+        tuple(mu[tables[inv[x] - 1][inv[y] - 1] - 1] for y in range(3))
+        for x in range(3))
     t = SetSolution(3, relabel(s.sigma), relabel(s.gamma))
     kept = dedupe_up_to_iso([s, t])
     assert kept == [min([s, t], key=lambda v: (v.sigma, v.gamma))]
