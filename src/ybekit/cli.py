@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .blockmat import (format_matrix_csv, hadamard, khatri_rao, kronecker,
                        parse_partitioned_csv, tracy_singh)
-from .enumeration import (EnumerationConfig, EnumerationLimitError,
-                          enumerate_solutions, iso_classes)
+from .enumeration import EnumerationConfig, EnumerationLimitError, enumerate_solutions
 from .errors import AxiomError, ParseError, ShapeError
 from .repmat import compose_flip, representing_matrix, verify_theorem_a
 from .setsolutions import (AXIOMS, CheckReport, axiom_failure, check_solution, direct_product,
@@ -134,31 +133,31 @@ def _cmd_verify_theorem_a(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     try:
-        cfg = EnumerationConfig(n=args.n, limit=args.limit, max_n=args.max_n)
+        cfg = EnumerationConfig(n=args.n, dedupe=args.dedupe, limit=args.limit,
+                                max_n=args.max_n)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     out_dir = None if args.out_dir is None else Path(args.out_dir)
     if out_dir is not None and (any(out_dir.glob("solution_*.json"))
                                 or any(out_dir.glob("class_*.json"))):
         raise ParseError(f"{out_dir} already holds solution_*.json or class_*.json files")
-    sols = enumerate_solutions(cfg)
-    classes = iso_classes(sols) if args.dedupe else None
-    emitted = [cls[0] for cls in classes] if classes is not None else sols
-    stem = "class" if classes is not None else "solution"
+    sizes: list[int] = []
+    sols = enumerate_solutions(cfg, sizes)
+    stem = "class" if cfg.dedupe else "solution"
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        width = max(3, len(str(len(emitted))))
-        for k, sol in enumerate(emitted, start=1):
+        width = max(3, len(str(len(sols))))
+        for k, sol in enumerate(sols, start=1):
             (out_dir / f"{stem}_{k:0{width}d}.json").write_text(solution_to_json(sol) + "\n")
     else:
-        for sol in emitted:
+        for sol in sols:
             print(solution_to_json(sol))
     summary = sys.stdout if out_dir is not None else sys.stderr
-    print(f"{len(sols)} solutions", file=summary)
-    if classes is not None:
-        print(f"{len(classes)} classes", file=summary)
-        for k, cls in enumerate(classes, start=1):
-            print(f"class {k}: size {len(cls)}", file=summary)
+    print(f"{sum(sizes)} solutions", file=summary)
+    if cfg.dedupe:
+        print(f"{len(sizes)} classes", file=summary)
+        for k, size in enumerate(sizes, start=1):
+            print(f"class {k}: size {size}", file=summary)
     return 0
 
 

@@ -418,13 +418,19 @@ def test_enumerate_size_cap(tmp_path, capsys):
     code, _, err = run(capsys, ["enumerate", "3", "--max-n", "2"])
     assert code == 2
     assert "error:" in err
-    # the search tabulates all n! permutations before --limit counts a node
+    # the cap is refused before any search starts
     start = time.perf_counter()
     code, out, err = run(capsys, ["enumerate", "10", "--max-n", "10", "--limit", "1"])
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == ("error: size cap must be at most 9: the 10!*10 permutation table "
                    "entries are over 10^7\n")
+    # no n! table is built before --limit counts the root and its first child
+    for dedupe in ([], ["--dedupe"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["enumerate", "9", "--max-n", "9", "--limit", "1"] + dedupe)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", "error: search exceeds its budget of 1 nodes\n")
 
 
 def test_enumerate_size_cap_reads_no_environment(tmp_path, capsys, monkeypatch):
@@ -450,14 +456,19 @@ def test_enumerate_refuses_out_dir_holding_output(tmp_path, capsys):
 
 
 def test_enumerate_candidate_limit(tmp_path, capsys):
-    # --limit budgets the search nodes: 5 at n = 2 and 1 599 at n = 4
-    for n, nodes, count in [("2", 5, 2), ("4", 1599, 168)]:
-        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes - 1)])
+    # --limit budgets the search nodes: 5 at n = 2 and 1 599 at n = 4, and
+    # 361 at n = 4 under --dedupe, whose lex-leader cuts leave 23 classes
+    n4_classes = "".join(f"class {k}: size {size}\n" for k, size in enumerate(
+        [1, 12, 8, 6, 12, 6, 6, 12, 8, 6, 3, 6, 12, 8, 8, 3, 12, 6, 12, 3, 6, 6, 6], start=1))
+    for n, nodes, count, dedupe in [("2", 5, 2, []), ("4", 1599, 168, []),
+                                    ("4", 361, 23, ["--dedupe"])]:
+        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes - 1)] + dedupe)
         assert code == 2 and out == ""
         assert err == f"error: search exceeds its budget of {nodes - 1} nodes\n"
-        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes)])
-        assert code == 0
-        assert len(out.splitlines()) == count and err == f"{count} solutions\n"
+        code, out, err = run(capsys, ["enumerate", n, "--limit", str(nodes)] + dedupe)
+        assert code == 0 and len(out.splitlines()) == count
+        assert err == (f"168 solutions\n23 classes\n{n4_classes}" if dedupe
+                       else f"{count} solutions\n")
 
 
 def test_enumerate_invalid_n(tmp_path, capsys):

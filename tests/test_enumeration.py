@@ -78,6 +78,23 @@ def test_published_class_counts():
     counts = [len(enumerate_solutions(EnumerationConfig(n, dedupe=True)))
               for n in range(1, 5)]
     assert counts == [1, 2, 5, 23]
+    sizes: list[int] = []
+    assert len(enumerate_solutions(EnumerationConfig(5, dedupe=True, max_n=5), sizes)) == 88
+    assert len(sizes) == 88 and sum(sizes) == 2640
+
+
+def test_dedupe_search_matches_the_oracle(sols2, sols3, sols4):
+    # the lex-leader search keeps exactly the least member of each class,
+    # in sorted order, and sizes the classes by their automorphisms; the
+    # labeled search counts each solution once
+    labeled = {1: enumerate_solutions(EnumerationConfig(1)), 2: sols2, 3: sols3, 4: sols4}
+    for n, sols in labeled.items():
+        sizes: list[int] = []
+        assert enumerate_solutions(EnumerationConfig(n, dedupe=True), sizes) == dedupe_up_to_iso(sols)
+        assert sizes == [len(c) for c in iso_classes(sols)]
+        sizes = []
+        assert enumerate_solutions(EnumerationConfig(n), sizes) == sols
+        assert sizes == [1] * len(sols)
 
 
 def test_iso_classes_structure_n4(sols4):
@@ -150,11 +167,15 @@ def test_size_cap():
 
 def test_candidate_space_limit():
     # the limit budgets the search nodes, the root included: 2, 5, 43 and
-    # 1 599 for n = 1..4, far below the (n!)^n sigma assignments
-    for n, nodes, count in [(1, 2, 1), (2, 5, 2), (3, 43, 12), (4, 1599, 168)]:
-        with pytest.raises(EnumerationLimitError, match=f"budget of {nodes - 1} nodes"):
-            enumerate_solutions(EnumerationConfig(n, limit=nodes - 1))
-        assert len(enumerate_solutions(EnumerationConfig(n, limit=nodes))) == count
+    # 1 599 for n = 1..4, far below the (n!)^n sigma assignments; under
+    # dedupe the lex-leader cuts leave 2, 5, 30 and 361
+    for dedupe, rows in [(False, [(1, 2, 1), (2, 5, 2), (3, 43, 12), (4, 1599, 168)]),
+                         (True, [(1, 2, 1), (2, 5, 2), (3, 30, 5), (4, 361, 23)])]:
+        for n, nodes, count in rows:
+            with pytest.raises(EnumerationLimitError, match=f"budget of {nodes - 1} nodes"):
+                enumerate_solutions(EnumerationConfig(n, dedupe=dedupe, limit=nodes - 1))
+            found = enumerate_solutions(EnumerationConfig(n, dedupe=dedupe, limit=nodes))
+            assert len(found) == count
 
 
 def test_limit_error_is_runtime_error():
