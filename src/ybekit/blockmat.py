@@ -11,9 +11,17 @@ outputs are built by `_matrix`, which trusts its rows.  The CSV reader
 builds its rows the same way, with its grammar as the one check on a cell.
 `@` copies rows when every left row is empty or a lone 1, as in a (partial)
 permutation, and otherwise works on integer rows (numerators over one
-denominator), as `inverse` does; `inverse` keeps them primitive and builds
-one Fraction per output entry.  A product with `_ONE`, the only 1 `_frac`
-returns, is the other entry itself.  Strip maps are cached.
+denominator), as `inverse` does, by one of two routes.  When the output
+cells sum fewer than 8 products each on average, a dict loop adds one
+product at a time; from 8 on, each right row is packed into one int per
+64 columns, a slot of w bits a column, and each output row is one integer
+sum per block.  w is the bit length of the largest sum |f| * max
+|numerator| over the rows, plus a sign bit, so no slot overflows.
+`inverse` keeps its rows primitive and builds one Fraction per output
+entry.  A product with `_ONE`, the only 1 `_frac` returns, is the other
+entry itself.  Strip maps are cached.  `csv_partition` reads a CSV text's
+shape and strips without parsing a cell, so a caller can bound its work
+first.
 """
 
 from __future__ import annotations
@@ -165,19 +173,74 @@ class Matrix:
         if (sel := _unit_rows(self._nz)) is not None:
             return _matrix(self.rows, other.cols,
                            ({} if k is None else other._nz[k].copy() for k in sel))
-        # each output row sums the integer rows of other over one denominator
-        b_rows = [_int_row(d) for d in other._nz]
+        # each output row sums f * (integer row k of other) over one denominator den
+        b_dens, b_nums = zip(*map(_int_row, other._nz))
+        nnz = [len(nums) for nums in b_nums]
+        if (sum(sum(map(nnz.__getitem__, d)) for d in self._nz)
+                >= _PACK_PRODUCTS_PER_CELL * self.rows * other.cols):
+            return _matrix(self.rows, other.cols, _packed_rows(self._nz, b_dens, b_nums))
         out = []
         for d in self._nz:
-            terms = [(a, b_rows[k]) for k, a in d.items() if b_rows[k][1]]
-            den = lcm(*(a.denominator * bden for a, (bden, _) in terms))
+            den = lcm(*(a.denominator * b_dens[k] for k, a in d.items()))
             acc: dict[int, int] = {}
-            for a, (bden, nums) in terms:
-                f = a.numerator * (den // (a.denominator * bden))
-                for j, n in nums.items():
+            for k, a in d.items():
+                f = a.numerator * (den // (a.denominator * b_dens[k]))
+                for j, n in b_nums[k].items():
                     acc[j] = acc.get(j, 0) + f * n
             out.append({j: Fraction(n, den) for j, n in acc.items() if n})
         return _matrix(self.rows, other.cols, out)
+
+
+# `@` packs when its output cells sum at least this many products each on
+# average; below that, packing and decoding cost more than the dict loop.
+_PACK_PRODUCTS_PER_CELL = 8
+# Columns per packed int: decoding a slot costs the length of its block.
+_PACK_COLUMNS = 64
+
+
+def _packed_rows(a_nz: Sequence[dict], b_dens: Sequence[int],
+                 b_nums: Sequence[dict]) -> list[dict]:
+    """`@`'s output rows by Kronecker substitution: integer row k of the right
+    operand becomes one int per block of _PACK_COLUMNS columns, w bits a
+    column, so each row's sum of f * packed[k] adds whole blocks at C speed.
+    No slot overflows: |sum| <= sum |f| * max |numerator| < 2 ** (w - 1)."""
+    plan = []
+    for d in a_nz:
+        den = lcm(*(a.denominator * b_dens[k] for k, a in d.items()))
+        plan.append((den, [(a.numerator * (den // (a.denominator * b_dens[k])), k)
+                           for k, a in d.items() if b_nums[k]]))
+    top = max((abs(n) for nums in b_nums for n in nums.values()), default=0)
+    w = (max(sum(abs(f) for f, _ in terms) for _, terms in plan) * top).bit_length() + 1
+    packs = []
+    for nums in b_nums:
+        blocks: dict[int, int] = {}
+        for j, n in nums.items():
+            b, s = divmod(j, _PACK_COLUMNS)
+            blocks[b] = blocks.get(b, 0) + (n << w * s)
+        packs.append(blocks)
+    mask, sign = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for den, terms in plan:
+        acc: dict[int, int] = {}
+        for f, k in terms:
+            for b, p in packs[k].items():
+                acc[b] = acc.get(b, 0) + f * p
+        row = {}
+        for b, x in acc.items():
+            j = b * _PACK_COLUMNS
+            while x:    # lowest slot first; a negative slot borrows from the next
+                if not (v := x & mask):     # skip the zero slots below the lowest set bit
+                    s = ((x & -x).bit_length() - 1) // w
+                    x >>= s * w
+                    j += s
+                    v = x & mask
+                if v & sign:
+                    v -= mask + 1
+                row[j] = Fraction(v, den)
+                x = (x - v) >> w
+                j += 1
+        out.append(row)
+    return out
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -287,6 +350,13 @@ class BlockPartition:
         return BlockPartition(self.col_sizes, self.row_sizes)
 
 
+def _require_fit(partition: BlockPartition, rows: int, cols: int) -> None:
+    if sum(partition.row_sizes) != rows:
+        raise ShapeError("row partition does not sum to the matrix height")
+    if sum(partition.col_sizes) != cols:
+        raise ShapeError("column partition does not sum to the matrix width")
+
+
 @dataclass(frozen=True)
 class PartitionedMatrix:
     """A matrix together with a consistent block partition."""
@@ -295,10 +365,7 @@ class PartitionedMatrix:
     partition: BlockPartition
 
     def __post_init__(self):
-        if sum(self.partition.row_sizes) != self.matrix.rows:
-            raise ShapeError("row partition does not sum to the matrix height")
-        if sum(self.partition.col_sizes) != self.matrix.cols:
-            raise ShapeError("column partition does not sum to the matrix width")
+        _require_fit(self.partition, self.matrix.rows, self.matrix.cols)
 
     @classmethod
     def single(cls, matrix: Matrix) -> "PartitionedMatrix":
@@ -413,14 +480,8 @@ def format_matrix_csv(matrix: Matrix, partition: BlockPartition | None = None) -
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
-    """Parse CSV text as written by format_matrix_csv.
-
-    Entries must match -?[0-9]+(/[0-9]+)? with a nonzero denominator and at
-    most CSV_MAX_DIGITS digits in each part.  Returns the matrix and the
-    declared partition, if any; consistency of the two is the caller's
-    concern (see parse_partitioned_csv).
-    """
+def _csv_lines(text: str) -> tuple[list[str], BlockPartition | None]:
+    """The non-blank rows of CSV text and its header's partition, if any."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     partition = None
     if lines and lines[0].lstrip().startswith("#"):
@@ -435,6 +496,24 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
             raise ParseError(f"bad partition header: {exc}") from exc
     if not lines:
         raise ParseError("no matrix rows found")
+    return lines, partition
+
+
+def _csv_width(lines: list[str]) -> int:
+    if len(widths := {ln.count(",") + 1 for ln in lines}) > 1:
+        raise ParseError("rows have unequal lengths")
+    return widths.pop()
+
+
+def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
+    """Parse CSV text as written by format_matrix_csv.
+
+    Entries must match -?[0-9]+(/[0-9]+)? with a nonzero denominator and at
+    most CSV_MAX_DIGITS digits in each part.  Returns the matrix and the
+    declared partition, if any; consistency of the two is the caller's
+    concern (see parse_partitioned_csv).
+    """
+    lines, partition = _csv_lines(text)
     nz = []
     for ln in lines:
         nz.append(row := {})
@@ -443,9 +522,20 @@ def parse_matrix_csv(text: str) -> tuple[Matrix, BlockPartition | None]:
                 raise ParseError(f"bad matrix entry {reprlib.repr(tok)}")
             if v := Fraction(int(m[1]), int(m[2] or 1)):
                 row[j] = _frac(v)
-    if len(widths := {ln.count(",") + 1 for ln in lines}) > 1:   # after every token
-        raise ParseError("rows have unequal lengths")
-    return _matrix(len(nz), widths.pop(), nz), partition
+    return _matrix(len(nz), _csv_width(lines), nz), partition   # widths after every token
+
+
+def csv_partition(text: str) -> BlockPartition:
+    """The partition parse_partitioned_csv gives CSV text, read from its
+    header, its row count and its row widths before any cell is parsed.  It
+    raises what parse_partitioned_csv raises on a bad header, unequal rows or
+    a partition that does not fit; cells are not read."""
+    lines, partition = _csv_lines(text)
+    rows, cols = len(lines), _csv_width(lines)
+    if partition is None:
+        return BlockPartition((rows,), (cols,))
+    _require_fit(partition, rows, cols)
+    return partition
 
 
 def parse_partitioned_csv(text: str) -> PartitionedMatrix:

@@ -14,7 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .blockmat import (format_matrix_csv, hadamard, khatri_rao, kronecker,
+from .blockmat import (csv_partition, format_matrix_csv, hadamard, khatri_rao, kronecker,
                        parse_partitioned_csv, tracy_singh)
 from .enumeration import EnumerationConfig, EnumerationLimitError, enumerate_solutions
 from .errors import AxiomError, ParseError, ShapeError
@@ -54,19 +54,20 @@ def _require_output_cells(rows: int, cols: int) -> None:
 
 
 def _cmd_product(args) -> int:
-    a = parse_partitioned_csv(_read_text(args.a))
-    b = parse_partitioned_csv(_read_text(args.b))
+    texts = _read_text(args.a), _read_text(args.b)
+    # the caps read the shapes and strips before any cell is parsed
+    pa, pb = map(csv_partition, texts)
+    rows, cols = sum(pa.row_sizes) * sum(pb.row_sizes), sum(pa.col_sizes) * sum(pb.col_sizes)
     if args.op == "khatri-rao":     # the diagonal strip pairs only
         _require_output_cells(*(sum(p * q for p, q in zip(sa, sb)) for sa, sb in (
-            (a.partition.row_sizes, b.partition.row_sizes),
-            (a.partition.col_sizes, b.partition.col_sizes))))
+            (pa.row_sizes, pb.row_sizes), (pa.col_sizes, pb.col_sizes))))
         # _strip_map tabulates every (A index, B index) pair along each axis
-        tables = a.matrix.rows * b.matrix.rows + a.matrix.cols * b.matrix.cols
-        if tables > MAX_OUTPUT_CELLS:
+        if (tables := rows + cols) > MAX_OUTPUT_CELLS:
             raise ParseError(f"index tables of {tables} entries are over the "
                              f"{MAX_OUTPUT_CELLS}-entry cap")
     elif args.op != "hadamard":     # every strip pair: the product of the two shapes
-        _require_output_cells(a.matrix.rows * b.matrix.rows, a.matrix.cols * b.matrix.cols)
+        _require_output_cells(rows, cols)
+    a, b = map(parse_partitioned_csv, texts)
     if args.op == "kronecker":
         text = format_matrix_csv(kronecker(a.matrix, b.matrix))
     elif args.op == "hadamard":

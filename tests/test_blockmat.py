@@ -1,7 +1,9 @@
 """Exact matrix kernel: products, partitions, commutation matrices, CSV."""
 
+import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -21,11 +23,14 @@ from conftest import (
 )
 from ybekit.blockmat import (
     _ONE,
+    _PACK_COLUMNS,
+    _packed_rows,
     CSV_MAX_DIGITS,
     BlockPartition,
     Matrix,
     PartitionedMatrix,
     commutation_matrix,
+    csv_partition,
     format_matrix_csv,
     hadamard,
     identity,
@@ -669,6 +674,15 @@ def test_csv_parse_errors():
         parse_partitioned_csv("# partition rows=3 cols=2\n1,0\n0,1\n")
 
 
+def test_csv_partition_refuses_what_the_parse_refuses():
+    for text in ["", "1,2\n3\n", "# partition rows=1,,1 cols=2\n1,0\n0,1\n",
+                 "# partition rows=1,2 cols=1\n1\n2\n", "# partition rows=2 cols=3\n1,0\n0,1\n"]:
+        with pytest.raises((ParseError, ShapeError)) as parsed:
+            parse_partitioned_csv(text)
+        with pytest.raises(parsed.type, match=f"^{re.escape(str(parsed.value))}$"):
+            csv_partition(text)
+
+
 @pytest.mark.parametrize("entry", ENTRIES_OUTSIDE_GRAMMAR)
 def test_csv_rejects_entries_outside_grammar(entry):
     start = time.perf_counter()
@@ -837,6 +851,13 @@ def test_difference_with_itself_is_zeros(pa):
     assert a + (-a) == zeros(a.rows, a.cols) == 0 * a
 
 
+@given(sparse_partitioned(), st.booleans())
+@settings(deadline=None, max_examples=30)
+def test_csv_partition_is_the_parsed_partition(pm, header):
+    text = format_matrix_csv(pm.matrix, pm.partition if header else None)
+    assert csv_partition(text) == parse_partitioned_csv(text).partition
+
+
 def _naive_matmul(a, b):
     return [[sum((x * y for x, y in zip(ra, col)), F(0)) for col in zip(*b)] for ra in a]
 
@@ -889,15 +910,116 @@ def test_strip_map_is_cached_and_immutable():
     assert _strip_map((2, 1), (1, 2), True)[1] == (2, 2)
 
 
-def test_matmul_with_large_coprime_denominators_is_exact():
+def test_matmul_with_large_coprime_denominators_is_exact(monkeypatch):
+    calls = _spy_packed(monkeypatch)
     rng = random.Random(7)
     big = 10 ** 50
     dens = [1, 2, 3, 6, big + 1, big + 2, big + 3, (big + 1) * (big + 2)]
 
-    def entry():
-        return F(rng.randint(-big, big), rng.choice(dens)) if rng.random() < 0.7 else F(0)
+    def entry(density):
+        return F(rng.randint(-big, big), rng.choice(dens)) if rng.random() < density else F(0)
 
-    a = [[entry() for _ in range(5)] for _ in range(4)]
-    b = [[entry() for _ in range(3)] for _ in range(5)]
-    naive = [[sum((x * y for x, y in zip(ra, col)), F(0)) for col in zip(*b)] for ra in a]
-    _same(rows(a) @ rows(b), naive)
+    # a sparse product takes the dict loop, a dense one the packed route
+    for (r, k, c), density, packed in [((4, 5, 3), 0.7, 0), ((5, 16, 9), 1.0, 1)]:
+        a = [[entry(density) for _ in range(k)] for _ in range(r)]
+        b = [[entry(density) for _ in range(c)] for _ in range(k)]
+        calls.clear()
+        _same(rows(a) @ rows(b), _naive_matmul(a, b))
+        assert len(calls) == packed
+
+
+def _spy_packed(monkeypatch):
+    """The argument tuples of every call of `@`'s packed route."""
+    calls = []
+    monkeypatch.setattr("ybekit.blockmat._packed_rows",
+                        lambda *args: calls.append(args) or _packed_rows(*args))
+    return calls
+
+
+def _dense(rng, r, c):
+    return [[F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3)) for _ in range(c)]
+            for _ in range(r)]
+
+
+def test_packed_matmul_crosses_column_blocks(monkeypatch):
+    calls = _spy_packed(monkeypatch)
+    rng = random.Random(70)
+    a, b = _dense(rng, 3, 70), _dense(rng, 70, 2 * _PACK_COLUMNS + 2)
+    a[1] = [F(0)] * 70      # an empty output row
+    _same(rows(a) @ rows(b), _naive_matmul(a, b))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, a_top, b_top", [
+    (15, 1, 1),             # sums of 2**4 - 1: the largest value of a 5-bit slot
+    (16, 1, 1),
+    (8, 2 ** 61 - 1, 3),
+    (9, 10 ** 50, 10 ** 50 - 1),
+], ids=["15", "16", "8x(2**61-1)x3", "9x10**50x(10**50-1)"])
+def test_packed_matmul_reaches_the_slot_bound(monkeypatch, k, a_top, b_top):
+    # every entry maximal and of one sign: each cell sums to +-k * a_top * b_top,
+    # exactly the bound the slot width is sized for
+    calls = _spy_packed(monkeypatch)
+    for sa, sb in itertools.product((1, -1), repeat=2):
+        a = [[F(sa * a_top)] * k for _ in range(2)]
+        b = [[F(sb * b_top)] * 70 for _ in range(k)]
+        _same(rows(a) @ rows(b), [[F(sa * sb * k * a_top * b_top)] * 70] * 2)
+    assert len(calls) == 4
+
+
+def test_packed_matmul_negative_slots_next_to_zero_slots(monkeypatch):
+    # column j of b: all -9 (a negative sum), +-7 alternating (cancels to 0)
+    # or all zero; a negative slot borrows from the zero slot above it, and
+    # the largest numerator in size is negative
+    calls = _spy_packed(monkeypatch)
+    k, c = 32, 2 * _PACK_COLUMNS + 5
+    b = [[F((-9, 7 * (-1) ** i, 0)[j % 3]) for j in range(c)] for i in range(k)]
+    a = [[F(1)] * k, [F(-1, 3)] * k, [F(0)] * (k - 1) + [F(2)], [F(i % 2) for i in range(k)]]
+    _same(rows(a) @ rows(b), _naive_matmul(a, b))
+    assert len(calls) == 1
+
+
+def test_matmul_by_inverse_cancels_to_exact_zeros(monkeypatch):
+    calls = _spy_packed(monkeypatch)
+    rng = random.Random(9)
+    for n in (9, 12):
+        a = rows(_dense(rng, n, n))
+        inv = inverse(a)
+        _same(a @ inv, identity(n).to_rows())
+        _same(inv @ a, identity(n).to_rows())
+    assert len(calls) == 4
+
+
+def test_matmul_packs_only_when_cells_sum_many_products(monkeypatch):
+    # the packed route runs when the products reach 8 a cell on average
+    calls = _spy_packed(monkeypatch)
+    rng = random.Random(16)
+    b = _dense(rng, 16, 16)
+    for per_row, packed in [(7, 0), (8, 1)]:
+        a = [[F(rng.randint(1, 4), rng.randint(1, 3)) if j < per_row else F(0)
+              for j in range(16)] for _ in range(16)]
+        calls.clear()
+        _same(rows(a) @ rows(b), _naive_matmul(a, b))
+        assert len(calls) == packed
+    # dense @ dense packs; dense @ permutation (criterion 06's shape) keeps
+    # the dict loop, and permutation @ dense copies rows
+    dense = rows(_dense(rng, 81, 81))
+    perm = commutation_matrix(9, 9)
+    calls.clear()
+    dense @ dense
+    assert len(calls) == 1
+    dense @ perm
+    perm @ dense
+    assert len(calls) == 1
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_both_matmul_routes_match_naive(data):
+    a = data.draw(sparse_partitioned()).matrix
+    b = data.draw(sparse_partitioned(BlockPartition((a.cols,), (2, 1)))).matrix
+    naive = _naive_matmul(a.to_rows(), b.to_rows())
+    for per_cell in (0, math.inf):      # always pack, never pack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ybekit.blockmat._PACK_PRODUCTS_PER_CELL", per_cell)
+            _same(a @ b, naive)

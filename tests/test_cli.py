@@ -91,6 +91,16 @@ def test_product_over_output_cap_exits_2(tmp_path, capsys):
     assert err == "error: output of 4000x4000 is over the 10000000-entry cap\n"
 
 
+def test_product_cap_runs_before_any_cell_is_parsed(tmp_path, capsys):
+    # two 4.5 MB files: parsing their 2.25 million cells would take seconds
+    zeros = put(tmp_path, "zeros.csv", (",".join(["0"] * 1500) + "\n") * 1500)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["product", "kronecker", zeros, zeros])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: output of 2250000x2250000 is over the 10000000-entry cap\n"
+
+
 @pytest.mark.parametrize("op", ["kronecker", "tracy-singh"])
 def test_product_cap_is_sized_from_the_shapes(tmp_path, capsys, op):
     # 8000 one-row strips each: pairing every strip would cost 64 million steps
