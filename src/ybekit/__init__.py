@@ -7,7 +7,7 @@ from .blockmat import (BlockPartition, Matrix, PartitionedMatrix,
                        kronecker, parse_matrix_csv, parse_partitioned_csv,
                        permutation_matrix, tracy_singh)
 from .enumeration import (EnumerationConfig, EnumerationLimitError,
-                          dedupe_up_to_iso, enumerate_solutions, iso_classes)
+                          enumerate_solutions, iso_classes)
 from .errors import AxiomError, ParseError, ShapeError, SingularMatrixError
 from .repmat import (BlockPosition, TheoremAResult, block_nonzero_position,
                      compose_flip, conjugate_check, direct_rep_position,

@@ -1,11 +1,13 @@
 """Exhaustive generation of the non-degenerate involutive braided solutions
 on a small set, with optional collapsing up to relabeling.
 
-A depth-first search assigns sigma_1, sigma_2, ... in lexicographic order.
-It cuts a branch when a cycle-set identity sigma_x sigma_a = sigma_y sigma_b,
-a = sigma_x^{-1}(y), b = sigma_y^{-1}(x) (Rump, Adv. Math. 193, 2005) fails
-and forces a table when the other three are assigned; leaves derive gamma
-and must pass the full axiom checks.
+A depth-first search assigns sigma_1, sigma_2, ... in lexicographic order,
+pruned by the cycle-set identity T(x, y) = T(y, x) of Rump (Adv. Math. 193,
+2005), T(x, y) = sigma_x sigma_{sigma_x^-1(y)} (`setsolutions._cycle_side`).
+For the next table sigma_k it forces sigma_y^-1 T(x, y) when sigma_y^-1(x) =
+k is the one index missing, allows only T(x, k) sigma_b^-1 with b =
+sigma_k^-1(x) < k, and cuts a table that breaks an identity it completes.
+Leaves derive gamma and must pass the full axiom checks.
 
 With dedupe the search visits only prefixes of each class's lexicographic
 leader, its least member (lex-leader constraints; Akgun, Mereb & Vendramin,
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from math import factorial, inf
 
 from .errors import require_ints
-from .setsolutions import SetSolution, axiom_failure
+from .setsolutions import SetSolution, _cycle_side, axiom_failure
 
 
 class EnumerationLimitError(RuntimeError):
@@ -112,18 +114,14 @@ def _extend(n, sig, inv, inverse, rivals, found, nodes, limit) -> None:
             found.append((sol, 1 if rivals is None else factorial(n) // (len(rivals) + 1)))
         return
     choices = itertools.permutations(range(n))      # lex order
-    for x, y in itertools.combinations(range(k), 2):
-        a, b = inv[x][y], inv[y][x]
-        if a == k > b:
-            x, y, a, b = y, x, b, a
-        if b == k > a:                    # forced: sigma_b = sigma_y^-1 sigma_x sigma_a
-            choices = (tuple(inv[y][sig[x][v]] for v in sig[a]),)
+    for x, y in itertools.product(range(k), repeat=2):
+        if inv[y][x] == k > inv[x][y]:      # forced: sigma_k = sigma_y^-1 T(x, y)
+            choices = (tuple(map(inv[y].__getitem__, _cycle_side(sig, inv, x, y))),)
             break
-    for x in range(k):          # sigma_k sigma_b = sigma_x sigma_a, b = sigma_k^-1(x):
-        a = inv[x][k]           # b < k fixes sigma_k = sigma_x sigma_a sigma_b^-1
-        if a < k:
-            left = [sig[x][v] for v in sig[a]]
-            allowed = {tuple(left[v] for v in inv[b]) for b in range(k)}
+    for x in range(k):          # T(x, k) = sigma_k sigma_b, b = sigma_k^-1(x):
+        if inv[x][k] < k:       # b < k fixes sigma_k = T(x, k) sigma_b^-1
+            left = _cycle_side(sig, inv, x, k)
+            allowed = {tuple(map(left.__getitem__, inv[b])) for b in range(k)}
             choices = [p for p in choices if p in allowed or p.index(x) >= k]
     for p in choices:
         sig.append(p)
@@ -132,9 +130,8 @@ def _extend(n, sig, inv, inverse, rivals, found, nodes, limit) -> None:
             q = inverse[p] = _invert0(p)
         inv.append(q)
         for x, y in itertools.combinations(range(k + 1), 2):
-            a, b = inv[x][y], inv[y][x]
-            if max(y, a, b) == k and any(sig[x][v] != sig[y][w]
-                                         for v, w in zip(sig[a], sig[b])):
+            if (max(y, inv[x][y], inv[y][x]) == k
+                    and _cycle_side(sig, inv, x, y) != _cycle_side(sig, inv, y, x)):
                 break                     # an identity sigma_k made checkable fails
         else:
             _extend(n, sig, inv, inverse, rivals, found, nodes, limit)
@@ -191,8 +188,3 @@ def _canonical(s: SetSolution, relabelings) -> tuple:
 def _relabel(tables, mu, inv) -> tuple:
     """t'[mu x][mu y] = mu t[x][y]; mu maps 1-based values, inv is 0-based."""
     return tuple(tuple(map(mu.__getitem__, map(tables[i].__getitem__, inv))) for i in inv)
-
-
-def dedupe_up_to_iso(sols: list[SetSolution]) -> list[SetSolution]:
-    """Lexicographically least representative of each isomorphism class."""
-    return [cls[0] for cls in iso_classes(sols)]

@@ -184,6 +184,13 @@ def _braid_witness(sig, gam, n: int) -> tuple | None:
     return None
 
 
+def _cycle_side(sig, inv, x: int, y: int) -> list[int]:
+    """T(x, y) = sigma_x sigma_{sigma_x^-1(y)} on 0-based tables, inv[x] the
+    inverse of sig[x].  Rump's cycle-set identity, the braid relation of a
+    non-degenerate involutive map, is its symmetry T(x, y) = T(y, x)."""
+    return [sig[x][v] for v in sig[inv[x][y]]]
+
+
 def _braid_direct_holds(s: SetSolution) -> bool:
     """r12 r23 r12 = r23 r12 r23 on the n^3 flat triples t = x n^2 + y n + z,
     with r12 and r23 as index lists built from the pair map."""

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import time
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,21 @@ def test_matrix_cells_are_never_text_or_bools(cell):
     with pytest.raises(TypeError, match=r"^exact scalar expected, got (str|bool)$"):
         Matrix(1, 1, [cell])
     assert time.perf_counter() - start < 1.0
+
+
+def test_int_subclass_cells_are_stored_as_their_values():
+    # an int subclass other than bool takes the constructor's slower branch
+    class Level(IntEnum):
+        ONE = 1
+        SEVEN = 7
+
+    m = Matrix(1, 3, [Level.SEVEN, Level.ONE, 0])
+    seven, one = m._nz[0][0], m._nz[0][1]
+    assert type(seven) is Fraction and seven == 7
+    assert one is _ONE
+    assert m == Matrix(1, 3, [7, 1, 0])
+    with pytest.raises(TypeError, match=r"^exact scalar expected, got bool$"):
+        Matrix(1, 1, [True])
 
 
 def test_matrix_dimensions_and_scalars_are_ints():

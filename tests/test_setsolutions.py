@@ -13,6 +13,7 @@ import ybekit.setsolutions
 from conftest import NOT_BRAIDED, cycle_solution3, set_maps, swap_solution, trivial_solution
 from ybekit.errors import AxiomError, ParseError, ShapeError
 from ybekit.setsolutions import (
+    _cycle_side,
     CheckResult,
     Permutation,
     SetSolution,
@@ -140,6 +141,41 @@ def test_is_braided():
     assert res.witness == (1, 1, 2)
     assert is_nondegenerate(NOT_BRAIDED)
     assert is_involutive(NOT_BRAIDED)
+
+
+def _cycle_side_symmetric(s: SetSolution) -> bool:
+    """T(x, y) == T(y, x) on every pair, T the enumerator's helper, after
+    checking T(x, sigma_x(a)) = sigma_x sigma_a on the 1-based tables."""
+    sig = [[v - 1 for v in t] for t in s.sigma]
+    inv = [[v - 1 for v in invert_table(t)] for t in s.sigma]
+    pairs = list(itertools.product(range(s.n), repeat=2))
+    for x, a in pairs:
+        assert _cycle_side(sig, inv, x, sig[x][a]) == [
+            s.sigma[x][s.sigma[a][z] - 1] - 1 for z in range(s.n)]
+    return all(_cycle_side(sig, inv, x, y) == _cycle_side(sig, inv, y, x) for x, y in pairs)
+
+
+def test_cycle_set_symmetry_is_the_braid_gate():
+    # every non-degenerate involutive map with n <= 3: sigma runs over all
+    # (n!)^n assignments, gamma_y(x) = sigma_{sigma_x(y)}^-1(x) makes r
+    # involutive, and a map is kept when each gamma_y is a bijection
+    counts = []
+    for n in range(1, 4):
+        maps = braided = 0
+        for sigma in itertools.product(itertools.permutations(range(1, n + 1)), repeat=n):
+            gamma = [[invert_table(sigma[sigma[x][y] - 1])[x] for x in range(n)]
+                     for y in range(n)]
+            if not all(map(is_bijection_table, gamma)):
+                continue
+            s = SetSolution(n, sigma, gamma)
+            assert is_involutive(s)
+            symmetric = _cycle_side_symmetric(s)
+            assert symmetric == is_braided(s).ok
+            maps += 1
+            braided += symmetric
+        counts.append((maps, braided))
+    assert counts == [(1, 1), (2, 2), (24, 12)]
+    assert not _cycle_side_symmetric(NOT_BRAIDED)
 
 
 def test_checks_agree_on_random_tables():
