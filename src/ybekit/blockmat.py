@@ -9,13 +9,14 @@ partitioned-matrix conventions.  Storage is sparse: one dict per row maps
 dimensions and Fraction or int cells, never a bool, a float or text; kernel
 outputs are built by `_matrix`, which trusts its rows.  The CSV reader
 builds its rows the same way, with its grammar as the one check on a cell.
-`@` copies rows when every left row is empty or a lone 1, as in a (partial)
-permutation, and otherwise works on integer rows (numerators over one
-denominator), as `inverse` does, by one of two routes.  When the output
-cells sum fewer than 8 products each on average, a dict loop adds one
-product at a time; from 8 on, each right row is packed into one int per
-64 columns, a slot of w bits a column, and each output row is one integer
-sum per block.  w is the bit length of the largest sum |f| * max
+`@` takes one of three branches.  When every left row is empty or a lone
+1, as in a (partial) permutation, each output row is a copy of a right row.
+When every right column is empty or a lone 1, as in a (partial)
+permutation or a function matrix, each output row is gathered from the
+left row's entries.  Every other product works on integer rows (numerators
+over one denominator), as `inverse` does: each right row is packed into one
+int per 64 columns, a slot of w bits a column, and each output row is one
+integer sum per block.  w is the bit length of the largest sum |f| * max
 |numerator| over the rows, plus a sign bit, so no slot overflows.
 `inverse` keeps its rows primitive and builds one Fraction per output
 entry.  A product with `_ONE`, the only 1 `_frac` returns, is the other
@@ -60,6 +61,16 @@ def _unit_rows(nz: Sequence[dict]) -> list | None:
     """Column of each row's lone 1 (None if empty), or None if some row holds more."""
     unit = all(tuple(d.values()) in ((), (_ONE,)) for d in nz)  # == tries `is` first
     return [next(iter(d), None) for d in nz] if unit else None
+
+
+def _unit_cols(nz: Sequence[dict]) -> bool:
+    """Whether every column holds at most one entry, a 1; stops at the first row that fails."""
+    seen = set()
+    for d in nz:
+        if not seen.isdisjoint(d) or any(v != 1 for v in d.values()):
+            return False
+        seen.update(d)
+    return True
 
 
 def _int_row(d: dict) -> tuple[int, dict]:
@@ -173,27 +184,14 @@ class Matrix:
         if (sel := _unit_rows(self._nz)) is not None:
             return _matrix(self.rows, other.cols,
                            ({} if k is None else other._nz[k].copy() for k in sel))
+        if _unit_cols(other._nz):
+            return _matrix(self.rows, other.cols,
+                           ({j: a for k, a in d.items() for j in other._nz[k]} for d in self._nz))
         # each output row sums f * (integer row k of other) over one denominator den
         b_dens, b_nums = zip(*map(_int_row, other._nz))
-        nnz = [len(nums) for nums in b_nums]
-        if (sum(sum(map(nnz.__getitem__, d)) for d in self._nz)
-                >= _PACK_PRODUCTS_PER_CELL * self.rows * other.cols):
-            return _matrix(self.rows, other.cols, _packed_rows(self._nz, b_dens, b_nums))
-        out = []
-        for d in self._nz:
-            den = lcm(*(a.denominator * b_dens[k] for k, a in d.items()))
-            acc: dict[int, int] = {}
-            for k, a in d.items():
-                f = a.numerator * (den // (a.denominator * b_dens[k]))
-                for j, n in b_nums[k].items():
-                    acc[j] = acc.get(j, 0) + f * n
-            out.append({j: Fraction(n, den) for j, n in acc.items() if n})
-        return _matrix(self.rows, other.cols, out)
+        return _matrix(self.rows, other.cols, _packed_rows(self._nz, b_dens, b_nums))
 
 
-# `@` packs when its output cells sum at least this many products each on
-# average; below that, packing and decoding cost more than the dict loop.
-_PACK_PRODUCTS_PER_CELL = 8
 # Columns per packed int: decoding a slot costs the length of its block.
 _PACK_COLUMNS = 64
 

@@ -25,6 +25,7 @@ from conftest import (
 from ybekit.blockmat import (
     _ONE,
     _PACK_COLUMNS,
+    _function_matrix,
     _packed_rows,
     CSV_MAX_DIGITS,
     BlockPartition,
@@ -881,8 +882,9 @@ def _naive_matmul(a, b):
 @given(st.data())
 @settings(deadline=None, max_examples=80)
 def test_unit_matmul_matches_general_path(data):
-    # `@` by a (partial) permutation moves rows; doubling the operand takes
-    # the integer path instead, and both must match the naive product
+    # `@` by a (partial) permutation or a function matrix moves entries;
+    # doubling the operand takes the integer path instead, and both must
+    # match the naive product
     p = data.draw(sparse_partitioned(kinds=UNIT_KINDS)).matrix
     general = ("rationals", "unit entries")
     m = data.draw(sparse_partitioned(BlockPartition((p.cols,), (2, 1)), general)).matrix
@@ -893,6 +895,9 @@ def test_unit_matmul_matches_general_path(data):
     _same(p @ m, _naive_matmul(p.to_rows(), m.to_rows()))
     _same(n @ p, _naive_matmul(n.to_rows(), p.to_rows()))
     _same(p @ p.transpose(), _naive_matmul(p.to_rows(), p.transpose().to_rows()))
+    # a map's transpose is a function matrix: one 1 a column, rows may hold several
+    _same(m.transpose() @ p.transpose(),
+          _naive_matmul(m.transpose().to_rows(), p.transpose().to_rows()))
 
 
 def test_unit_paths_leave_operands_unchanged():
@@ -935,13 +940,13 @@ def test_matmul_with_large_coprime_denominators_is_exact(monkeypatch):
     def entry(density):
         return F(rng.randint(-big, big), rng.choice(dens)) if rng.random() < density else F(0)
 
-    # a sparse product takes the dict loop, a dense one the packed route
-    for (r, k, c), density, packed in [((4, 5, 3), 0.7, 0), ((5, 16, 9), 1.0, 1)]:
+    # a sparse product and a dense one both take the packed route
+    for (r, k, c), density in [((4, 5, 3), 0.7), ((5, 16, 9), 1.0)]:
         a = [[entry(density) for _ in range(k)] for _ in range(r)]
         b = [[entry(density) for _ in range(c)] for _ in range(k)]
         calls.clear()
         _same(rows(a) @ rows(b), _naive_matmul(a, b))
-        assert len(calls) == packed
+        assert len(calls) == 1
 
 
 def _spy_packed(monkeypatch):
@@ -1006,36 +1011,34 @@ def test_matmul_by_inverse_cancels_to_exact_zeros(monkeypatch):
     assert len(calls) == 4
 
 
-def test_matmul_packs_only_when_cells_sum_many_products(monkeypatch):
-    # the packed route runs when the products reach 8 a cell on average
+def test_matmul_packs_unless_an_operand_only_moves_entries(monkeypatch):
+    # rows of empty or lone-1 entries on the left copy rows, columns of them
+    # on the right gather entries, and every other product packs
     calls = _spy_packed(monkeypatch)
     rng = random.Random(16)
-    b = _dense(rng, 16, 16)
-    for per_row, packed in [(7, 0), (8, 1)]:
-        a = [[F(rng.randint(1, 4), rng.randint(1, 3)) if j < per_row else F(0)
-              for j in range(16)] for _ in range(16)]
+    dense = rows(_dense(rng, 16, 16))
+    seven = rows([[F(rng.randint(1, 4), rng.randint(1, 3)) if j < 7 else F(0)
+                   for j in range(16)] for _ in range(16)])
+    perm = commutation_matrix(4, 4)
+    fmap = _function_matrix([rng.randrange(16) for _ in range(16)])
+    # column 0 holds two 1s; column 5 holds a lone 2
+    two_ones = _function_matrix([0, 0] + list(range(2, 16))).transpose()
+    lone_two = rows([[F(2) if i == j == 5 else F(int(i == j)) for j in range(16)]
+                     for i in range(16)])
+    for a, b, packed in [(dense, dense, 1), (seven, dense, 1),
+                         (dense, two_ones, 1), (dense, lone_two, 1),
+                         (dense, perm, 0),      # criterion 06's shape
+                         (dense, fmap, 0),
+                         (dense, zeros(16, 16) + perm, 0),  # ones not the kernel's
+                         (perm, dense, 0)]:
         calls.clear()
-        _same(rows(a) @ rows(b), _naive_matmul(a, b))
+        _same(a @ b, _naive_matmul(a.to_rows(), b.to_rows()))
         assert len(calls) == packed
-    # dense @ dense packs; dense @ permutation (criterion 06's shape) keeps
-    # the dict loop, and permutation @ dense copies rows
-    dense = rows(_dense(rng, 81, 81))
-    perm = commutation_matrix(9, 9)
-    calls.clear()
-    dense @ dense
-    assert len(calls) == 1
-    dense @ perm
-    perm @ dense
-    assert len(calls) == 1
 
 
 @given(st.data())
 @settings(deadline=None, max_examples=60)
-def test_both_matmul_routes_match_naive(data):
+def test_matmul_matches_naive(data):
     a = data.draw(sparse_partitioned()).matrix
     b = data.draw(sparse_partitioned(BlockPartition((a.cols,), (2, 1)))).matrix
-    naive = _naive_matmul(a.to_rows(), b.to_rows())
-    for per_cell in (0, math.inf):      # always pack, never pack
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ybekit.blockmat._PACK_PRODUCTS_PER_CELL", per_cell)
-            _same(a @ b, naive)
+    _same(a @ b, _naive_matmul(a.to_rows(), b.to_rows()))
