@@ -19,8 +19,8 @@ At a leaf every table is known, so the test is exact and each class keeps
 its least member.  The relabelings still undecided there fix every sigma
 table, and so gamma, which sigma determines: with the identity they are
 Aut(s), and by orbit-stabilizer the class of s has n!/|Aut(s)| members.
-`iso_classes`, which keys labeled solutions by their least relabeling, is
-the oracle for both.
+`iso_classes`, which buckets labeled solutions by their refined colours and
+asks `setsolutions.isomorphic_set` within a bucket, is the oracle for both.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from math import factorial, inf
 
 from .errors import require_ints
-from .setsolutions import SetSolution, _cycle_side, axiom_failure
+from .setsolutions import (SetSolution, _cycle_side, _point_views, _refine, axiom_failure,
+                           isomorphic_set)
 
 
 class EnumerationLimitError(RuntimeError):
@@ -164,27 +165,17 @@ def _invert0(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def iso_classes(sols: list[SetSolution]) -> list[list[SetSolution]]:
-    """Partition into isomorphism classes by canonical form; classes are
-    ordered by their lexicographically least member, which comes first."""
+    """Partition into isomorphism classes, ordered by their lexicographically
+    least member, which comes first.  Solutions are bucketed by their sorted
+    refined colours (one `names` dict per call), and each joins the first
+    class in its bucket whose first member `isomorphic_set` carries to it."""
     if any(s.n != sols[0].n for s in sols):
         raise ValueError("all solutions must live on sets of the same size")
-    classes: dict[tuple, list[SetSolution]] = {}
-    relabelings = [((0,) + tuple(v + 1 for v in mu), mu_inv)
-                   for mu, mu_inv in _relabelings(sols[0].n if sols else 0)]
+    buckets, names = {}, {}
     for sol in sorted(sols, key=lambda s: (s.sigma, s.gamma)):
-        classes.setdefault(_canonical(sol, relabelings), []).append(sol)
-    return list(classes.values())
-
-
-def _canonical(s: SetSolution, relabelings) -> tuple:
-    """Least (sigma, gamma) over the relabelings of s; gamma is relabeled
-    only where sigma reaches its least form."""
-    sigmas = [_relabel(s.sigma, mu, inv) for mu, inv in relabelings]
-    least = min(sigmas)
-    return least, min(_relabel(s.gamma, mu, inv)
-                      for sig, (mu, inv) in zip(sigmas, relabelings) if sig == least)
-
-
-def _relabel(tables, mu, inv) -> tuple:
-    """t'[mu x][mu y] = mu t[x][y]; mu maps 1-based values, inv is 0-based."""
-    return tuple(tuple(map(mu.__getitem__, map(tables[i].__getitem__, inv))) for i in inv)
+        bucket = buckets.setdefault(tuple(sorted(_refine(_point_views(sol), [-1] * sol.n,
+                                                         names))), [])
+        if (cls := next((c for c in bucket if isomorphic_set(c[0], sol)), None)) is None:
+            bucket.append(cls := [])
+        cls.append(sol)
+    return sorted(itertools.chain(*buckets.values()), key=lambda c: (c[0].sigma, c[0].gamma))

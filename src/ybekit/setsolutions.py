@@ -128,6 +128,11 @@ def _pair_map(s: SetSolution) -> list[int]:
     return [(sig[x][y] - 1) * n + gam[y][x] - 1 for x in range(n) for y in range(n)]
 
 
+def _tables0(s: SetSolution) -> tuple[list[list[int]], list[list[int]]]:
+    """sig[x][y] = sigma_x(y) and gam[y][x] = gamma_y(x), all 0-based."""
+    return [[v - 1 for v in t] for t in s.sigma], [[v - 1 for v in t] for t in s.gamma]
+
+
 def is_nondegenerate(s: SetSolution) -> CheckResult:
     """All sigma_x and all gamma_y are bijections."""
     for kind in ("sigma", "gamma"):
@@ -208,8 +213,7 @@ def is_braided(s: SetSolution) -> CheckResult:
     witness, when present, is the first triple failing the componentwise
     route.
     """
-    witness = _braid_witness([[v - 1 for v in t] for t in s.sigma],
-                             [[v - 1 for v in t] for t in s.gamma], s.n)
+    witness = _braid_witness(*_tables0(s), s.n)
     if (witness is None) != _braid_direct_holds(s):
         raise AssertionError("braid formulations disagree")
     if witness is None:
@@ -290,44 +294,51 @@ def direct_product(sx: SetSolution, sy: SetSolution) -> SetSolution:
 
 def isomorphic_set(sa: SetSolution, sb: SetSolution) -> Permutation | None:
     """The first relabeling mu in lexicographic order with
-    r_b(mu x, mu y) = mu r_a(x, y) for all x, y, or None.  mu(x) ranges only
-    over points with x's signature (whether r fixes (x, x), and the orbit
-    sizes under sigma_x and gamma_x), and a branch is cut at the first pair
-    whose images are all assigned and disagree."""
+    r_b(mu x, mu y) = mu r_a(x, y) for all x, y, or None.  Both sides are
+    refined with one `names` dict, then mu(1), mu(2), ... are tried in order
+    among the points of x's colour: each pair is individualized and refined
+    again, and a branch whose colour histograms differ is cut."""
     if sa.n != sb.n:
         raise ShapeError(f"solutions have different sizes: {sa.n} and {sb.n}")
-    rng = range(1, sa.n + 1)
-    sig_a, sig_b = ([(apply_r(s, x, x) == (x, x), _orbit_sizes(s.sigma[x - 1]),
-                      _orbit_sizes(s.gamma[x - 1])) for x in rng] for s in (sa, sb))
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    options = [[v for v in rng if sig_b[v - 1] == sig] for sig in sig_a]
-    # (x, y) with r_a(x, y) = (u, v), by the last point among the four
-    quads = [(x, y, *apply_r(sa, x, y)) for x, y in itertools.product(rng, repeat=2)]
-    checks = [[q for q in quads if max(q) == x] for x in range(sa.n + 1)]
-    return _first_relabeling(sb, options, checks, [0] * (sa.n + 1), 1)
+    views, names = (_point_views(sa), _point_views(sb)), {}
+    ca, cb = (_refine(v, [-1] * sa.n, names) for v in views)
+    mu = _first_relabeling(views, ca, cb, names, 0) if sorted(ca) == sorted(cb) else None
+    return None if mu is None else Permutation([v + 1 for v in mu])
 
 
-def _first_relabeling(sb, options, checks, image, x):
-    """The lexicographically first mu extending image[1..x-1] (image[0] pads), or None."""
-    if x == len(image):
-        return Permutation(image[1:])
-    for v in sorted(set(options[x - 1]).difference(image)):
-        image[x] = v
-        if (all(apply_r(sb, image[p], image[q]) == (image[u], image[w])
-                for p, q, u, w in checks[x])
-                and (mu := _first_relabeling(sb, options, checks, image, x + 1))):
+def _first_relabeling(views, ca, cb, names, x):
+    """The first 0-based mu extending the pairs individualized before x, or
+    None.  A discrete colouring is mu: equal keys hold equal view colours."""
+    if len(set(ca)) == len(ca):
+        return [cb.index(c) for c in ca]
+    for v in [v for v, c in enumerate(cb) if c == ca[x]]:
+        ra = _refine(views[0], ca[:x] + [-1] + ca[x + 1:], names)
+        rb = _refine(views[1], cb[:v] + [-1] + cb[v + 1:], names)
+        if sorted(ra) == sorted(rb) and (mu := _first_relabeling(views, ra, rb, names, x + 1)):
             return mu
-    image[x] = 0
     return None
 
 
-def _orbit_sizes(table) -> tuple[int, ...]:
-    """Sorted sizes of the forward orbits {v, t(v), t(t(v)), ...}, a
-    relabeling invariant of any map (for a permutation, its cycle type)."""
-    return tuple(sorted(
-        len(set(itertools.accumulate(table, lambda v, _: table[v - 1], initial=v)))
-        for v in range(1, len(table) + 1)))
+def _point_views(s: SetSolution) -> list[tuple]:
+    """Per x, over y: sigma_x(y), gamma_y(x), sigma_y(x), gamma_x(y), and which
+    of x, y, sigma_x(y), gamma_y(x) are equal with the bits [sigma_x = sigma_y],
+    [gamma_x = gamma_y], [sigma_x sigma_y(x) = x]: invariants of any map."""
+    sig, gam = _tables0(s)
+    return [(sx, gx_t, sx_t, gx, [(x == y, x == u, x == w, y == u, y == w, u == w, sx == sig[y],
+                                   gx == gam[y], sx[v] == x)
+                                  for y, u, w, v in zip(range(s.n), sx, gx_t, sx_t)])
+            for x, (sx, gx, sx_t, gx_t) in enumerate(zip(sig, gam, zip(*sig), zip(*gam)))]
+
+
+def _refine(views, colours: list[int], names: dict) -> list[int]:
+    """Recolour x by its colour and the multiset over y of y's colour, its
+    view points' colours and the pair's own part, until no class splits; a
+    colour is its key's index in `names`, shared by the sides compared."""
+    get = colours.__getitem__
+    new = [names.setdefault((c, tuple(sorted(zip(colours, map(get, us), map(get, ws), map(get, ss),
+                                                  map(get, gs), pair)))), len(names))
+           for c, (us, ws, ss, gs, pair) in zip(colours, views)]
+    return new if len(set(new)) == len(set(colours)) else _refine(views, new, names)
 
 
 def solution_to_json(s: SetSolution) -> str:

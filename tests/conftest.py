@@ -1,5 +1,6 @@
 """Shared builders and fixtures: exact random matrices and small braided sets."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ybekit.blockmat import BlockPartition, Matrix, PartitionedMatrix, identity
 from ybekit.enumeration import EnumerationConfig, enumerate_solutions
 from ybekit.errors import SingularMatrixError
-from ybekit.setsolutions import SetSolution
+from ybekit.setsolutions import Permutation, SetSolution, apply_r, invert_table
 
 
 def trivial_solution(n: int) -> SetSolution:
@@ -34,6 +35,27 @@ NOT_BRAIDED = SetSolution(
     ((1, 3, 2), (1, 3, 2), (2, 3, 1)),
     ((1, 3, 2), (3, 1, 2), (1, 3, 2)),
 )
+
+
+def brute_force_isomorphism(sa, sb):
+    """Reference route: the first relabeling in lexicographic order that
+    carries r_a to r_b, found by walking all n! of them."""
+    rng = range(1, sa.n + 1)
+    for image in itertools.permutations(rng):
+        if all(apply_r(sb, image[x - 1], image[y - 1])
+               == tuple(image[v - 1] for v in apply_r(sa, x, y))
+               for x in rng for y in rng):
+            return Permutation(image)
+    return None
+
+
+def relabeled(s, image):
+    """s carried along the relabeling with 1-based images `image`."""
+    n = s.n
+    inv = invert_table(image)
+    tables = lambda t: tuple(tuple(image[t[inv[x] - 1][inv[y] - 1] - 1] for y in range(n))
+                             for x in range(n))
+    return SetSolution(n, tables(s.sigma), tables(s.gamma))
 
 
 @st.composite
@@ -167,8 +189,6 @@ def sparse_square_matrices(draw, max_n: int = 5):
 def bijection_level_oracle(n: int):
     """Second enumeration route: walk every bijection of the n*n pair
     indices, keep the involutions, decode tables, filter by the checks."""
-    import itertools
-
     from ybekit.setsolutions import (
         index_to_pair,
         is_braided,
@@ -208,3 +228,13 @@ def sols3():
 @pytest.fixture(scope="session")
 def sols4():
     return enumerate_solutions(EnumerationConfig(4))
+
+
+@pytest.fixture(scope="session")
+def leaders5():
+    """The n = 5 class leaders and their class sizes, searched under the
+    README's 10 476-node budget: a search that visits more fails (10 475
+    refuses)."""
+    sizes: list[int] = []
+    cfg = EnumerationConfig(5, dedupe=True, limit=10476, max_n=5)
+    return enumerate_solutions(cfg, sizes), sizes

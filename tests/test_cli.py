@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_a, sample_b, swap_solution, trivial_solution
+from conftest import relabeled, sample_a, sample_b, swap_solution, trivial_solution
 from ybekit.blockmat import format_matrix_csv, parse_partitioned_csv, tracy_singh
 from ybekit.cli import main
-from ybekit.setsolutions import SetSolution, direct_product, solution_to_json
+from ybekit.enumeration import EnumerationConfig, enumerate_solutions
+from ybekit.setsolutions import SetSolution, apply_r, direct_product, solution_to_json
 
 TRIVIAL_JSON = solution_to_json(trivial_solution(2))
 SWAP_JSON = solution_to_json(swap_solution())
@@ -509,6 +510,36 @@ def test_isomorphic_found(tmp_path, capsys):
     code, out, _ = run(capsys, ["isomorphic", a, b])
     assert code == 0
     assert out == "isomorphic mu=[1, 3, 2]\n"
+
+
+def test_isomorphic_answers_hard_products_fast(tmp_path, capsys):
+    # leaders 14/15, 20/21 and 22/23 are the n = 4 pairs with equal multisets
+    # of point signatures (whether r fixes (x, x), and the orbit sizes under
+    # sigma_x and gamma_x), so A x T_k and B x T_k defeat a search that
+    # branches among points of equal signature as k grows
+    leaders = enumerate_solutions(EnumerationConfig(4, dedupe=True))
+    for i, j in [(14, 15), (20, 21), (22, 23)]:
+        for k in (4, 5, 6, 14):
+            a, b = (put(tmp_path, f"{i}_{j}_{k}_{side}.json",
+                        solution_to_json(direct_product(leaders[idx - 1], trivial_solution(k))))
+                    for side, idx in (("a", i), ("b", j)))
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["isomorphic", a, b])
+            assert (code, out, err) == (1, "not isomorphic\n", ""), (i, j, k)
+            assert time.perf_counter() - start < 1.0, (i, j, k)
+    s = direct_product(leaders[13], trivial_solution(5))
+    image = [(7 * v) % 20 + 1 for v in range(20)]
+    t = relabeled(s, image)
+    a, b = put(tmp_path, "s.json", solution_to_json(s)), put(tmp_path, "t.json", solution_to_json(t))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["isomorphic", a, b])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == "" and out.startswith("isomorphic mu=")
+    mu = [None] + ast.literal_eval(out.removeprefix("isomorphic mu="))
+    for x in range(1, 21):
+        for y in range(1, 21):
+            u, v = apply_r(s, x, y)
+            assert apply_r(t, mu[x], mu[y]) == (mu[u], mu[v])
 
 
 def test_isomorphic_size_mismatch_exits_3(tmp_path, capsys):

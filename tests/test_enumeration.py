@@ -4,7 +4,13 @@ import gc
 
 import pytest
 
-from conftest import bijection_level_oracle, cycle_solution3, trivial_solution
+from conftest import (
+    bijection_level_oracle,
+    brute_force_isomorphism,
+    cycle_solution3,
+    relabeled,
+    trivial_solution,
+)
 from ybekit.enumeration import (
     EnumerationConfig,
     EnumerationLimitError,
@@ -15,7 +21,6 @@ from ybekit.setsolutions import (
     SetSolution,
     check_solution,
     invert_table,
-    isomorphic_set,
 )
 
 
@@ -72,16 +77,14 @@ def test_dedupe_counts(sols2, sols3, sols4):
     assert len(iso_classes(sols4)) == 23
 
 
-def test_published_class_counts():
+def test_published_class_counts(leaders5):
     # Etingof, Schedler & Soloviev, Duke Math. J. 100 (1999): 1, 2, 5, 23, 88, ...
     counts = [len(enumerate_solutions(EnumerationConfig(n, dedupe=True)))
               for n in range(1, 5)]
     assert counts == [1, 2, 5, 23]
-    # the README's 10 476 search nodes are the budget: a search that visits
-    # more fails here (10 475 refuses)
-    sizes: list[int] = []
-    cfg = EnumerationConfig(5, dedupe=True, limit=10476, max_n=5)
-    assert len(enumerate_solutions(cfg, sizes)) == 88
+    # the fixture searches under the README's 10 476-node budget
+    leaders, sizes = leaders5
+    assert len(leaders) == 88
     assert len(sizes) == 88 and sum(sizes) == 2640
 
 
@@ -108,11 +111,22 @@ def test_iso_classes_structure_n4(sols4):
     for cls in classes:
         assert cls[0] == min(cls, key=lambda s: (s.sigma, s.gamma))
         for member in cls:
-            assert isomorphic_set(cls[0], member) is not None
+            assert brute_force_isomorphism(cls[0], member) is not None
     reps = [cls[0] for cls in classes]
     for i, a in enumerate(reps):
         for b in reps[i + 1:]:
-            assert isomorphic_set(a, b) is None
+            assert brute_force_isomorphism(a, b) is None
+
+
+def test_iso_classes_splits_shared_refinement_buckets(leaders5):
+    # refinement gives some n = 5 classes equal colours, so the buckets alone
+    # would merge them; each leader and a relabeled copy of it form a class
+    leaders = leaders5[0]
+    copies = [relabeled(s, (2, 3, 4, 5, 1)) for s in leaders]
+    classes = iso_classes(leaders + copies)
+    assert [c[0] for c in classes] == leaders
+    for cls, s, t in zip(classes, leaders, copies):
+        assert cls == sorted([s, t], key=lambda v: (v.sigma, v.gamma))
 
 
 def test_enumeration_leaves_no_reference_cycles():
@@ -134,10 +148,10 @@ def test_iso_classes_structure(sols3):
     for cls in classes:
         assert cls[0] == min(cls, key=lambda s: (s.sigma, s.gamma))
         for member in cls:
-            assert isomorphic_set(cls[0], member) is not None
+            assert brute_force_isomorphism(cls[0], member) is not None
     for i, a in enumerate(reps):
         for b in reps[i + 1:]:
-            assert isomorphic_set(a, b) is None
+            assert brute_force_isomorphism(a, b) is None
 
 
 def test_dedupe_removes_relabeled_duplicate():

@@ -10,10 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybekit.setsolutions
-from conftest import NOT_BRAIDED, cycle_solution3, set_maps, swap_solution, trivial_solution
+from conftest import (
+    NOT_BRAIDED,
+    brute_force_isomorphism,
+    cycle_solution3,
+    relabeled,
+    set_maps,
+    swap_solution,
+    trivial_solution,
+)
 from ybekit.errors import AxiomError, ParseError, ShapeError
 from ybekit.setsolutions import (
     _cycle_side,
+    _point_views,
+    _refine,
     CheckResult,
     Permutation,
     SetSolution,
@@ -458,27 +468,6 @@ def test_isomorphic_set_relabeled_copy():
             assert apply_r(t, img[x], img[y]) == (img[u], img[v])
 
 
-def brute_force_isomorphism(sa, sb):
-    """Reference route: the first relabeling in lexicographic order that
-    carries r_a to r_b, found by walking all n! of them."""
-    rng = range(1, sa.n + 1)
-    for image in itertools.permutations(rng):
-        if all(apply_r(sb, image[x - 1], image[y - 1])
-               == tuple(image[v - 1] for v in apply_r(sa, x, y))
-               for x in rng for y in rng):
-            return Permutation(image)
-    return None
-
-
-def relabeled(s, image):
-    """s carried along the relabeling with 1-based images `image`."""
-    n = s.n
-    inv = invert_table(image)
-    tables = lambda t: tuple(tuple(image[t[inv[x] - 1][inv[y] - 1] - 1] for y in range(n))
-                             for x in range(n))
-    return SetSolution(n, tables(s.sigma), tables(s.gamma))
-
-
 def test_isomorphic_set_matches_brute_force_on_solutions(sols2, sols3, sols4):
     pairs = list(itertools.product(sols2 + sols3, repeat=2))
     pairs = [(a, b) for a, b in pairs if a.n == b.n]
@@ -492,8 +481,9 @@ def test_isomorphic_set_matches_brute_force_on_solutions(sols2, sols3, sols4):
 
 
 def test_isomorphic_set_matches_brute_force_on_arbitrary_tables():
-    # tables that need not be bijections: the point signatures must still
-    # be relabeling invariants
+    # tables that need not be bijections: every feature that refinement
+    # reads, and so every cut of the search, must still be a relabeling
+    # invariant
     rng = random.Random(7)
     for _ in range(400):
         n = rng.randint(1, 4)
@@ -505,6 +495,23 @@ def test_isomorphic_set_matches_brute_force_on_arbitrary_tables():
         assert isomorphic_set(a, b) == brute_force_isomorphism(a, b)
 
 
+def test_isomorphic_set_matches_brute_force_on_near_copies():
+    # a relabeled copy with one sigma or gamma entry changed: the answer must
+    # read both tables, not only the one that still matches
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        table = lambda: [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+        a = SetSolution(n, table(), table())
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        b = relabeled(a, image)
+        tables = [list(map(list, b.sigma)), list(map(list, b.gamma))]
+        tables[rng.randint(0, 1)][rng.randrange(n)][rng.randrange(n)] = rng.randint(1, n)
+        b = SetSolution(n, *tables)
+        assert isomorphic_set(a, b) == brute_force_isomorphism(a, b)
+
+
 def test_isomorphic_set_rejects_large_non_isomorphic_pair_fast():
     n = 14
     swap = (2, 1) + tuple(range(3, n + 1))
@@ -512,6 +519,39 @@ def test_isomorphic_set_rejects_large_non_isomorphic_pair_fast():
     start = time.perf_counter()
     assert isomorphic_set(trivial_solution(n), constant_transposition) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_isomorphic_set_searches_past_refinement_at_n5(leaders5):
+    # refinement with one names dict gives some non-isomorphic n = 5 leaders
+    # equal colour histograms; inside each such bucket the search decides
+    names, buckets = {}, {}
+    for s in leaders5[0]:
+        key = tuple(sorted(_refine(_point_views(s), [-1] * s.n, names)))
+        buckets.setdefault(key, []).append(s)
+    shared = [b for b in buckets.values() if len(b) > 1]
+    assert shared and len(buckets) < 88
+    for bucket in shared:
+        for a, b in itertools.product(bucket, repeat=2):
+            mu = isomorphic_set(a, b)
+            assert mu == brute_force_isomorphism(a, b)
+            assert (mu is None) == (a != b)
+
+
+@given(set_maps(max_n=5), st.data())
+@settings(deadline=None, max_examples=150)
+def test_refinement_colours_follow_a_relabeling(a, data):
+    # c_b[mu x] = c_a[x] for the copy b = mu(a) of any map, refined with one
+    # names dict, and again once x and mu x are individualized, as the
+    # search does
+    image = data.draw(st.permutations(range(1, a.n + 1)))
+    x = data.draw(st.integers(0, a.n - 1))
+    mu = [v - 1 for v in image]
+    names, va, vb = {}, _point_views(a), _point_views(relabeled(a, image))
+    ca, cb = _refine(va, [-1] * a.n, names), _refine(vb, [-1] * a.n, names)
+    assert [cb[mu[v]] for v in range(a.n)] == ca
+    ca[x] = cb[mu[x]] = -1
+    ca, cb = _refine(va, ca, names), _refine(vb, cb, names)
+    assert [cb[mu[v]] for v in range(a.n)] == ca
 
 
 def test_isomorphic_set_size_mismatch():
